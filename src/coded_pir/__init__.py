@@ -12,7 +12,6 @@ from .decode import (
     MissingResponses,
     RecoveredAtoms,
     SingularSystem,
-    decode_shared_query,
     reconstruct,
     recovered_atoms,
 )
@@ -97,12 +96,10 @@ from .storage import (
     StorageCode,
     StorageError,
     Transcript,
-    answer_query,
     database_for_plan,
     database_from_json,
     database_to_json,
     encode_database,
-    is_mds,
     random_database,
     rs_storage_code,
     run_session,

@@ -12,28 +12,15 @@ mismatch surfaces as DecodingFailure.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import rs
-from .gf import NoSolution, mat_inv, mat_mul, mat_solve
+from .gf import NoSolution, mat_inv, mat_mul
 from .plans import QueryPlan, Variant
 from .storage import StorageCode, Transcript, rs_storage_code
-
-# Mask inverses are reused across every session decoded from one plan.
-_MASK_INV: "weakref.WeakKeyDictionary[QueryPlan, dict[int, np.ndarray]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _mask_inverse(plan: QueryPlan, f: int) -> np.ndarray:
-    per_plan = _MASK_INV.setdefault(plan, {})
-    if f not in per_plan:
-        per_plan[f] = mat_inv(plan.masks[f], plan.params.modulus)
-    return per_plan[f]
 
 
 class DecodeError(Exception):
@@ -77,18 +64,6 @@ class RecoveredAtoms:
         self.flags.setdefault(f, {})[atom] = flag
 
 
-def decode_shared_query(responses: Mapping[int, int], code: StorageCode) -> np.ndarray:
-    """The K-vector x with x . g_n = responses[n] for each server n."""
-    servers = sorted(responses)
-    if len(servers) != code.k:
-        raise SingularSystem(f"need exactly {code.k} responses, got {len(servers)}")
-    rhs = np.array([int(responses[n]) for n in servers], dtype=np.int64)
-    try:
-        return mat_solve(code.gen[:, servers].T, rhs, code.p)
-    except NoSolution as exc:
-        raise SingularSystem(f"storage code is not MDS on columns {servers}") from exc
-
-
 def _query_values(
     plan: QueryPlan, transcript: Transcript, code: StorageCode
 ) -> list[np.ndarray | None]:
@@ -117,24 +92,32 @@ def _query_values(
     return values
 
 
+def _flags(known: Mapping[int, np.ndarray], word: np.ndarray) -> list[str]:
+    """Provenance of every position of a word decoded from the known ones."""
+    flags = [FLAG_ERASURE] * len(word)
+    positions = list(known)
+    if positions:
+        read = np.stack([known[t] for t in positions])
+        changed = np.any(word[positions] != read, axis=1).tolist()
+        for t, c in zip(positions, changed):
+            flags[t] = FLAG_ERROR if c else FLAG_DIRECT
+    return flags
+
+
 def _group_interference(
-    plan: QueryPlan, values: list[np.ndarray | None], record: RecoveredAtoms
+    plan: QueryPlan, values: list[np.ndarray | None], record: RecoveredAtoms, correct: bool
 ) -> dict[int, np.ndarray]:
     """Interference value of every mixed-block query, group by group.
 
     Pure-block query values of a group lie on one codeword of the big
-    code (positions beta*b onward); the mixed positions 0..beta*b-1 are
-    recovered by erasure completion, or bounded-distance correction for
-    the Byzantine variant.  Groups mixing a single undesired file yield
-    that file's atoms individually and are recorded.
+    code (positions beta*b onward); the codeword, and with it the mixed
+    positions 0..beta*b-1, is decoded from them.  Groups mixing a single
+    undesired file yield that file's atoms individually and are recorded.
     """
     b = plan.n_symbols
     ab = plan.ab
-    byz = plan.params.variant is Variant.BYZANTINE
     assert plan.big_code is not None
     interference: dict[int, np.ndarray] = {}
-    pure_positions = list(range(ab.beta * b, ab.total * b))
-    punctured = rs.puncture(plan.big_code, pure_positions) if byz else None
     for group in plan.groups:
         known: dict[int, np.ndarray] = {}
         for i, blk_id in enumerate(group.pure_blocks):
@@ -142,39 +125,26 @@ def _group_interference(
                 v = values[blk_id * b + s]
                 if v is not None:
                     known[ab.beta * b + i * b + s] = v
-        if byz:
-            received = np.stack([known[t] for t in pure_positions])
-            corrected = rs.error_correct(punctured, received)
-            message = rs.message_from_codeword(punctured, corrected)
-            full = rs.encode(plan.big_code, message)
-        else:
-            full = rs.erasure_complete(plan.big_code, known)
+        full = rs.encode(plan.big_code, rs.recover_message(plan.big_code, known, correct))
         for j, blk_id in enumerate(group.mixed_blocks):
             for s in range(b):
                 interference[blk_id * b + s] = full[j * b + s]
         if len(group.base_label) == 1:
             f = group.base_label[0]
             start = group.atom_start[f]
-            for t in range(ab.total * b):
-                if t not in known:
-                    flag = FLAG_ERASURE
-                elif byz and not np.array_equal(full[t], known[t]):
-                    flag = FLAG_ERROR
-                else:
-                    flag = FLAG_DIRECT
+            for t, flag in enumerate(_flags(known, full)):
                 record.add(f, start + t, full[t], flag)
     return interference
 
 
 def _reconstruct_standard(
-    plan: QueryPlan, values: list[np.ndarray | None]
+    plan: QueryPlan, values: list[np.ndarray | None], correct: bool
 ) -> tuple[dict[int, np.ndarray], RecoveredAtoms]:
     p = plan.params.modulus
     des = plan.params.desired[0]
     b = plan.n_symbols
-    variant = plan.params.variant
     record = RecoveredAtoms(values={}, flags={})
-    interference = _group_interference(plan, values, record)
+    interference = _group_interference(plan, values, record, correct)
 
     rows_value = np.zeros((plan.l_rows, plan.params.code_dim), dtype=np.int64)
     for blk in plan.blocks:
@@ -189,34 +159,22 @@ def _reconstruct_standard(
             if len(blk.label) > 1:
                 v = (v - interference[qid]) % p
             vals[s] = v
-        if variant is Variant.BYZANTINE:
-            received = np.stack([vals[s] for s in range(b)])
-            corrected = rs.error_correct(plan.small_code, received)
-            message = rs.message_from_codeword(plan.small_code, corrected)
-            restored = corrected
-        elif variant is Variant.ROBUST:
-            message = rs.recover_message(plan.small_code, vals)
-            restored = rs.encode(plan.small_code, message)
-        else:
+        if plan.small_code is None:  # the atoms are the mask rows themselves
             for s, v in vals.items():
                 rows_value[blk.atoms[des][s]] = v
                 record.add(des, blk.atoms[des][s], v, FLAG_DIRECT)
             continue
-        for s in range(b):
-            if s not in vals:
-                flag = FLAG_ERASURE
-            elif not np.array_equal(restored[s], vals[s]):
-                flag = FLAG_ERROR
-            else:
-                flag = FLAG_DIRECT
+        message = rs.recover_message(plan.small_code, vals, correct)
+        restored = rs.encode(plan.small_code, message)
+        for s, flag in enumerate(_flags(vals, restored)):
             record.add(des, blk.atoms[des][s], restored[s], flag)
         lo, hi = blk.desired_rows
         rows_value[lo:hi] = message
-    return {des: mat_mul(_mask_inverse(plan, des), rows_value, p)}, record
+    return {des: mat_mul(plan.mask_inverses[des], rows_value, p)}, record
 
 
 def _reconstruct_multifile(
-    plan: QueryPlan, values: list[np.ndarray | None]
+    plan: QueryPlan, values: list[np.ndarray | None], correct: bool
 ) -> tuple[dict[int, np.ndarray], RecoveredAtoms]:
     p = plan.params.modulus
     b = plan.n_symbols
@@ -241,10 +199,11 @@ def _reconstruct_multifile(
     # Undesired files ride the big code: singleton positions determine the rest.
     shared = ab.beta * b
     for f in undesired:
-        message = mat_solve(plan.big_code.gen_t[shared:], atom_vals[f][shared:], p)
-        atom_vals[f][:shared] = rs.encode(plan.big_code, message)[:shared]
-        for t in range(shared):
-            record.add(f, t, atom_vals[f][t], FLAG_ERASURE)
+        known = {t: atom_vals[f][t] for t in range(shared, plan.big_code.n)}
+        full = rs.encode(plan.big_code, rs.recover_message(plan.big_code, known, correct))
+        atom_vals[f][:shared] = full[:shared]
+        for t, flag in enumerate(_flags(known, full)[:shared]):
+            record.add(f, t, full[t], flag)
 
     h = plan.mix_matrix
     try:
@@ -267,7 +226,7 @@ def _reconstruct_multifile(
             for s in range(b):
                 record.add(f, lam * b + s, solved[i, s], FLAG_DIRECT)
 
-    files = {f: mat_mul(_mask_inverse(plan, f), atom_vals[f], p) for f in desired}
+    files = {f: mat_mul(plan.mask_inverses[f], atom_vals[f], p) for f in desired}
     return files, record
 
 
@@ -283,10 +242,13 @@ def _run_pipeline(
             f"servers {absent} are absent; only the robust variant tolerates erasures"
         )
     values = _query_values(plan, transcript, code)
+    # Only Byzantine plans reserve redundancy for correcting errors; the
+    # others spend it on erasures or on detecting wrong responses.
+    correct = params.variant is Variant.BYZANTINE
     try:
         if params.variant is Variant.MULTI_FILE:
-            return _reconstruct_multifile(plan, values)
-        return _reconstruct_standard(plan, values)
+            return _reconstruct_multifile(plan, values, correct)
+        return _reconstruct_standard(plan, values, correct)
     except rs.CodingError as exc:
         raise DecodingFailure(str(exc)) from exc
     except NoSolution as exc:

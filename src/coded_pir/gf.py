@@ -78,19 +78,18 @@ def mat_mul(a, b, p: int) -> np.ndarray:
     return acc
 
 
-def row_reduce(a, p: int, pivot_cols: int | None = None) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form of ``a`` over GF(p).
+def _eliminate(m: np.ndarray, p: int, pivot_cols: int, reduced: bool) -> list[int]:
+    """Gaussian elimination of ``m`` in place over GF(p); returns the pivot columns.
 
-    Pivots are searched only in the first ``pivot_cols`` columns (all
-    columns by default), which lets callers reduce augmented systems.
-    Returns the reduced matrix and the list of pivot column indices.
+    Pivots are searched in the first ``pivot_cols`` columns and scaled
+    to 1.  Each pivot clears its column in every other row when
+    ``reduced`` (reduced row-echelon form), otherwise only in the rows
+    below it, which is all a rank needs.
     """
-    m = as_field(a, p).copy()
-    rows, cols = m.shape
-    limit = cols if pivot_cols is None else pivot_cols
+    rows = m.shape[0]
     pivots: list[int] = []
     r = 0
-    for c in range(limit):
+    for c in range(pivot_cols):
         if r == rows:
             break
         nz = np.nonzero(m[r:, c])[0]
@@ -102,39 +101,33 @@ def row_reduce(a, p: int, pivot_cols: int | None = None) -> tuple[np.ndarray, li
         inv = pow(int(m[r, c]), -1, p)
         m[r] = m[r] * inv % p
         col = m[:, c].copy()
-        col[r] = 0
+        col[r if reduced else 0 : r + 1] = 0
         touched = np.nonzero(col)[0]
         if touched.size:
             m[touched] = (m[touched] - np.outer(col[touched], m[r])) % p
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def row_reduce(a, p: int, pivot_cols: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form of ``a`` over GF(p).
+
+    Pivots are searched only in the first ``pivot_cols`` columns (all
+    columns by default), which lets callers reduce augmented systems.
+    Returns the reduced matrix and the list of pivot column indices.
+    """
+    m = as_field(a, p)
+    pivots = _eliminate(m, p, m.shape[1] if pivot_cols is None else pivot_cols, reduced=True)
     return m, pivots
 
 
 def mat_rank(a, p: int) -> int:
     """Rank of ``a`` over GF(p) (forward elimination only)."""
-    m = as_field(a, p).copy()
+    m = as_field(a, p)
     if m.size == 0:
         return 0
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        nz = np.nonzero(m[rank:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = rank + int(nz[0])
-        if pr != rank:
-            m[[rank, pr]] = m[[pr, rank]]
-        inv = pow(int(m[rank, c]), -1, p)
-        m[rank] = m[rank] * inv % p
-        below = m[rank + 1 :, c].copy()
-        touched = np.nonzero(below)[0]
-        if touched.size:
-            m[rank + 1 + touched] = (m[rank + 1 + touched] - np.outer(below[touched], m[rank])) % p
-        rank += 1
-    return rank
+    return len(_eliminate(m, p, m.shape[1], reduced=False))
 
 
 def mat_solve(a, b, p: int) -> np.ndarray:

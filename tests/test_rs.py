@@ -3,6 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import oracles
 from coded_pir import gf, rs
 
 
@@ -196,12 +197,33 @@ def test_error_correct_matches_bw_reference_on_random_words():
         k = int(rng.integers(1, n + 1))
         code = rs.rs_transposed_generator(n, k, p)
         word = rng.integers(0, p, n).astype(np.int64)
-        via_gao = rs._gao_decode_column(code, word, code.max_errors)
-        via_bw = rs.bw_decode_column(code, word)
+        try:
+            via_gao = rs.error_correct(code, word)
+        except rs.DecodingFailure:
+            via_gao = None
+        via_bw = oracles.bw_decode_column(code, word)
         if via_gao is None:
             assert via_bw is None
         else:
             assert via_bw is not None and np.array_equal(via_gao, via_bw)
+
+
+def test_recover_message_corrects_errors_among_erasures():
+    # (9, 3) code with 2 positions erased: the 7 known positions correct
+    # floor((7 - 3) / 2) = 2 errors, and a third is beyond the radius
+    code = rs.rs_transposed_generator(9, 3, 13)
+    msg = np.array([[4, 0], [7, 1], [2, 12]], dtype=np.int64)
+    word = rs.encode(code, msg)
+    known = {i: word[i].copy() for i in range(9) if i not in (1, 6)}
+    known[0][0] = (known[0][0] + 3) % 13
+    known[8][1] = (known[8][1] + 5) % 13
+    known[4] = (known[4] + 1) % 13
+    assert np.array_equal(rs.recover_message(code, known, correct=True), msg)
+    with pytest.raises(rs.NotACodeword):
+        rs.recover_message(code, known)
+    known[2][0] = (known[2][0] + 1) % 13
+    with pytest.raises(rs.DecodingFailure):
+        rs.recover_message(code, known, correct=True)
 
 
 def test_roundtrip_random_messages_and_error_patterns():

