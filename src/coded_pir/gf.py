@@ -2,8 +2,15 @@
 
 Matrices are numpy int64 arrays with entries reduced into [0, p).  All
 routines are exact: products are accumulated in chunks small enough that
-no intermediate value can exceed the int64 range, so any prime modulus
-below 2**31 is supported.
+no intermediate value can exceed the int64 range, so any prime modulus up
+to ``MAX_MODULUS`` (just above 3 * 10**9) is supported.
+
+One elimination kernel, ``_eliminate``, is behind ``row_reduce`` and
+``mat_rank`` and through them ``mat_solve``, ``mat_inv`` and
+``sample_invertible``.  It is blocked: pivots are found column by column
+inside narrow panels, and the rest of the matrix is updated with one
+int64 product per panel, so the O(n**3) work runs in numpy's integer
+matmul and each pivot touches only its panel.
 
 Randomness comes from a counter-based SplitMix64 stream mapped onto field
 elements by rejection sampling below the largest multiple of p, which
@@ -25,6 +32,11 @@ _MIX2 = 0x94D049BB133111EB
 # Largest supported modulus: row operations form products of two reduced
 # entries, which must stay below 2**63.
 MAX_MODULUS = 3037000499
+
+# Pivot columns per elimination panel: wide enough that the per-panel
+# products carry most of the work, narrow enough that the per-pivot
+# passes over the panel stay cheap.
+_PANEL = 32
 
 
 class FieldError(Exception):
@@ -81,32 +93,84 @@ def mat_mul(a, b, p: int) -> np.ndarray:
 def _eliminate(m: np.ndarray, p: int, pivot_cols: int, reduced: bool) -> list[int]:
     """Gaussian elimination of ``m`` in place over GF(p); returns the pivot columns.
 
-    Pivots are searched in the first ``pivot_cols`` columns and scaled
-    to 1.  Each pivot clears its column in every other row when
-    ``reduced`` (reduced row-echelon form), otherwise only in the rows
-    below it, which is all a rank needs.
+    Pivots are searched in the first ``pivot_cols`` columns: the pivot
+    of a column is the first nonzero entry at or below the current row,
+    swapped up and scaled to 1.  With ``reduced`` each pivot clears its
+    column in every other row, leaving the reduced row-echelon form;
+    otherwise it clears only the rows below it, which is all a rank
+    needs, and the pivot list is the only result: the rows of ``m`` are
+    then left part-updated.
+
+    The pivot columns are taken in panels of ``_PANEL`` columns, and
+    each panel is eliminated on a copy of its rows from the current one
+    down.  Columns right of the panel that are no wider than it ride
+    along in the copy.  Wider ones do not: the copy instead records
+    every row as a combination of the panel's pivot rows, so one pivot
+    touches rows x 2 * _PANEL entries, and the rest of the matrix then
+    takes one exact int64 product (``mat_mul``) per panel.  The rows
+    below gain their recorded combination of the pivot rows; in reduced
+    mode the pivot rows are rebuilt from theirs, and the rows above are
+    cleared with the new pivot rows.  The pivot decisions and row
+    operations are those of the plain column-by-column loop, so the
+    output equals it entry for entry, rows beyond the rank included.
     """
-    rows = m.shape[0]
+    rows, cols = m.shape
     pivots: list[int] = []
     r = 0
-    for c in range(pivot_cols):
+    for c0 in range(0, pivot_cols, _PANEL):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        c1 = min(c0 + _PANEL, pivot_cols)
+        width = c1 - c0
+        # Trailing columns no wider than the panel ride along in the copy.
+        # Wider ones wait for the per-panel products, and the copy gains
+        # a column per pivot: column width + j of a row holds its
+        # coefficient on the panel's j-th pivot row as read before the
+        # panel, the 1 that pivot row starts with included.  A row that is
+        # not a pivot row also keeps itself with coefficient 1.
+        carry = cols - c1 <= width
+        span = cols - c0 if carry else width
+        work = np.zeros((rows - r, span if carry else 2 * width), dtype=np.int64)
+        work[:, :span] = m[r:, c0 : c0 + span]
+        order = np.arange(rows - r)
+        k = 0
+        for c in range(width):
+            if r + k == rows:
+                break
+            nz = np.flatnonzero(work[k:, c])
+            if nz.size == 0:
+                continue
+            pr = k + int(nz[0])
+            if pr != k:
+                work[[k, pr]] = work[[pr, k]]
+                order[[k, pr]] = order[[pr, k]]
+            if not carry:
+                work[k, width + k] = 1
+            work[k, c:] *= pow(int(work[k, c]), -1, p)
+            work[k, c:] %= p
+            factors = work[:, c].copy()
+            factors[k] = 0
+            lo = 0 if reduced else k + 1
+            work[lo:, c:] -= factors[lo:, None] * work[k, c:]
+            work[lo:, c:] %= p
+            pivots.append(c0 + c)
+            k += 1
+        if k == 0:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = m[r] * inv % p
-        col = m[:, c].copy()
-        col[r if reduced else 0 : r + 1] = 0
-        touched = np.nonzero(col)[0]
-        if touched.size:
-            m[touched] = (m[touched] - np.outer(col[touched], m[r])) % p
-        pivots.append(c)
-        r += 1
+        if carry:
+            m[r:, c0:] = work
+        else:
+            trailing = m[r:, c1:][order]
+            top = trailing[:k]
+            combos = work[:, width : width + k]
+            m[r + k :, c1:] = (trailing[k:] + mat_mul(combos[k:], top, p)) % p
+            if reduced:
+                m[r:, c0:c1] = work[:, :width]
+                m[r : r + k, c1:] = mat_mul(combos[:k], top, p)
+        if reduced and r:
+            pivot_entries = m[:r, pivots[-k:]]
+            m[:r, c0:] = (m[:r, c0:] - mat_mul(pivot_entries, m[r : r + k, c0:], p)) % p
+        r += k
     return pivots
 
 

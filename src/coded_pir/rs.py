@@ -159,7 +159,7 @@ def recover_message(
         raise InvalidShape("duplicate positions")
     if len(positions) < code.k:
         raise TooFewKnown(f"{len(positions)} known positions, need at least k={code.k}")
-    rows = np.stack([as_field(known[i], code.p) for i in positions])
+    rows = as_field([known[i] for i in positions], code.p)
     vector = rows.ndim == 1
     if vector:
         rows = rows[:, None]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from coded_pir import gf
@@ -97,18 +99,54 @@ def test_inverse_singular_raises():
 DIFFERENTIAL_MODULI = (2, 3, 65537, 3037000493)
 
 
+def _low_rank(rows, cols, rank, p, rng):
+    left = rng.integers(0, p, (rows, rank)).astype(object)
+    right = rng.integers(0, p, (rank, cols)).astype(object)
+    return ((left @ right) % p).astype(np.int64)
+
+
 def _test_matrices(p, rng):
     """Square, wide, tall, zero and rank-deficient matrices over GF(p)."""
     for rows, cols in [(1, 1), (4, 4), (6, 6), (3, 7), (7, 3), (1, 5), (5, 1)]:
         yield rng.integers(0, p, (rows, cols)).astype(np.int64)
     yield np.zeros((3, 4), dtype=np.int64)
     for rows, cols, rank in [(5, 5, 3), (4, 7, 2), (7, 4, 2), (6, 6, 1)]:
-        left = rng.integers(0, p, (rows, rank)).astype(object)
-        right = rng.integers(0, p, (rank, cols)).astype(object)
-        yield ((left @ right) % p).astype(np.int64)
+        yield _low_rank(rows, cols, rank, p, rng)
     square = rng.integers(0, p, (5, 5)).astype(np.int64)
     square[3] = square[1]  # singular with a repeated row
     yield square
+
+
+def _check_against_oracles(a, p, rng, limits):
+    """row_reduce (full and at each pivot_cols limit), mat_rank, mat_solve
+    and mat_inv of ``a`` equal the Python-int Gauss-Jordan."""
+    rows, cols = a.shape
+    want, want_pivots = oracles.int_row_reduce(a, p)
+    got, got_pivots = gf.row_reduce(a, p)
+    assert got.tolist() == want and got_pivots == want_pivots, (p, a)
+    for limit in limits:
+        want, want_pivots = oracles.int_row_reduce(a, p, pivot_cols=limit)
+        got, got_pivots = gf.row_reduce(a, p, pivot_cols=limit)
+        assert got.tolist() == want and got_pivots == want_pivots, (p, a, limit)
+    assert gf.mat_rank(a, p) == oracles.int_rank(a, p), (p, a)
+
+    x = rng.integers(0, p, (cols, 2)).astype(object)
+    consistent = ((a.astype(object) @ x) % p).astype(np.int64)
+    for b in (consistent, rng.integers(0, p, (rows, 2)).astype(np.int64)):
+        want = oracles.int_solve(a, b, p)
+        if want is None:
+            with pytest.raises(gf.NoSolution):
+                gf.mat_solve(a, b, p)
+        else:
+            assert gf.mat_solve(a, b, p).tolist() == want, (p, a, b)
+
+    if rows == cols:
+        want = oracles.int_solve(a, np.eye(rows, dtype=np.int64), p)
+        if want is None:
+            with pytest.raises(gf.NoSolution):
+                gf.mat_inv(a, p)
+        else:
+            assert gf.mat_inv(a, p).tolist() == want, (p, a)
 
 
 def test_elimination_matches_python_int_reference():
@@ -118,33 +156,54 @@ def test_elimination_matches_python_int_reference():
     rng = np.random.default_rng(2024)
     for p in DIFFERENTIAL_MODULI:
         for a in _test_matrices(p, rng):
-            rows, cols = a.shape
-            want, want_pivots = oracles.int_row_reduce(a, p)
-            got, got_pivots = gf.row_reduce(a, p)
-            assert got.tolist() == want and got_pivots == want_pivots, (p, a)
-            for limit in range(cols):
-                want, want_pivots = oracles.int_row_reduce(a, p, pivot_cols=limit)
-                got, got_pivots = gf.row_reduce(a, p, pivot_cols=limit)
-                assert got.tolist() == want and got_pivots == want_pivots, (p, a, limit)
-            assert gf.mat_rank(a, p) == oracles.int_rank(a, p), (p, a)
+            _check_against_oracles(a, p, rng, range(a.shape[1]))
 
-            x = rng.integers(0, p, (cols, 2)).astype(object)
-            consistent = ((a.astype(object) @ x) % p).astype(np.int64)
-            for b in (consistent, rng.integers(0, p, (rows, 2)).astype(np.int64)):
-                want = oracles.int_solve(a, b, p)
-                if want is None:
-                    with pytest.raises(gf.NoSolution):
-                        gf.mat_solve(a, b, p)
-                else:
-                    assert gf.mat_solve(a, b, p).tolist() == want, (p, a, b)
 
-            if rows == cols:
-                want = oracles.int_solve(a, np.eye(rows, dtype=np.int64), p)
-                if want is None:
-                    with pytest.raises(gf.NoSolution):
-                        gf.mat_inv(a, p)
-                else:
-                    assert gf.mat_inv(a, p).tolist() == want, (p, a)
+def _panel_matrices(p, rng):
+    """Matrices that span several elimination panels."""
+    w = gf._PANEL
+    for rows, cols in [(w - 1, w - 1), (w, w), (w + 1, w + 1), (2 * w + 1, 2 * w + 1),
+                       (w + 1, 2 * w + 1), (2 * w + 1, w + 1), (24, 100), (100, 24)]:
+        yield rng.integers(0, p, (rows, cols)).astype(np.int64)
+    # Ranks that are not a multiple of the panel width.
+    yield _low_rank(70, 70, w + 5, p, rng)
+    yield _low_rank(40, 90, w + 1, p, rng)
+    yield _low_rank(90, 40, w - 1, p, rng)
+    # A run of zero columns across the first panel boundary.
+    a = rng.integers(0, p, (50, 70)).astype(np.int64)
+    a[:, w - 4 : w + 9] = 0
+    yield a
+
+
+def test_blocked_elimination_matches_python_int_reference():
+    rng = np.random.default_rng(2025)
+    w = gf._PANEL
+    for p in DIFFERENTIAL_MODULI:
+        for a in _panel_matrices(p, rng):
+            # pivot_cols limits inside the first panel, on its boundary and
+            # inside the second
+            limits = [c for c in (w // 2 + 1, w, w + 13) if c < a.shape[1]]
+            _check_against_oracles(a, p, rng, limits)
+
+
+@st.composite
+def _shapes_and_ranks(draw):
+    rows = draw(st.integers(1, 72))
+    cols = draw(st.integers(1, 72))
+    full = min(rows, cols)
+    return rows, cols, full - draw(st.integers(0, full))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    shape=_shapes_and_ranks(),
+    p=st.sampled_from(DIFFERENTIAL_MODULI),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_elimination_properties(shape, p, seed):
+    rows, cols, rank = shape
+    rng = np.random.default_rng(seed)
+    _check_against_oracles(_low_rank(rows, cols, rank, p, rng), p, rng, limits=())
 
 
 # --- multiplication -------------------------------------------------------
