@@ -40,6 +40,7 @@ from .gf import (
     derive_seed,
     mat_inv,
     mat_mul,
+    mat_rank,
     sample_invertible,
 )
 from .patterns import BlockFamily, CollusionPattern, family_eval
@@ -705,10 +706,41 @@ def validate_plan(plan: QueryPlan) -> list[str]:
         if len(set(per_file)) > 1:
             out.append(f"collusion set {t} sees unequal atom counts {per_file}")
 
+    # Premises of the privacy audit's rank count (module ``rates``): every
+    # mask is invertible, and every file's atom coefficients are its chunk
+    # generators times rows of its mask (disjoint rows, checked above).
     for f in range(m):
+        mask = plan.masks[f]
+        if mask.shape != (plan.l_rows, plan.l_rows) or mat_rank(mask, params.modulus) != plan.l_rows:
+            out.append(f"mask of file {f} is not invertible")
+        expected = _chunk_products(plan, f)
+        if expected is None or not np.array_equal(expected, plan.atom_coeffs[f]):
+            out.append(f"atom matrix for file {f} is not its chunk generators times its mask rows")
         if plan.atom_coeffs[f].shape[1] != plan.l_rows:
             out.append(f"atom matrix for file {f} has width != L")
     return out
+
+
+def _chunk_products(plan: QueryPlan, f: int) -> np.ndarray | None:
+    """File f's atom coefficients rebuilt from its mask, chunk after chunk.
+
+    None when the row bookkeeping does not give each chunk generator
+    exactly as many mask rows as its dimension.
+    """
+    mask = plan.masks[f]
+    if f in plan.params.desired and plan.small_code is None:
+        return mask
+    if plan.params.variant is Variant.MULTI_FILE:
+        code, slices = plan.big_code, [(0, plan.big_code.k)]
+    elif f in plan.params.desired:
+        code = plan.small_code
+        slices = [blk.desired_rows for blk in plan.blocks if f in blk.label]
+    else:
+        code, slices = plan.big_code, [g.row_slices[f] for g in plan.groups if f in g.row_slices]
+    if any(sl is None or mask[sl[0] : sl[1]].shape[0] != code.k for sl in slices):
+        return None
+    parts = [mat_mul(code.gen_t, mask[lo:hi], plan.params.modulus) for lo, hi in slices]
+    return np.vstack(parts) if parts else np.zeros((0, mask.shape[1]), dtype=np.int64)
 
 
 # --- canonical JSON serialization -------------------------------------------

@@ -2,12 +2,28 @@
 
 Every rate and bound is an exact ``fractions.Fraction``; nothing here
 touches floating point.  The privacy audit is rank-level: for a given
-set of colluding servers it stacks, per file, the coefficient vectors of
+set of colluding servers it takes, per file, the coefficient vectors of
 every atom those servers see, and passes iff all files show the same
 rank and that rank matches the construction's predicted view dimension.
 Equal ranks are the machine-checkable face of the schemes' privacy
 argument; distributional indistinguishability beyond rank is out of
 scope and documented as such.
+
+The rank is counted from the plan's structure, with no elimination.  A
+file's atom coefficients are ``blockdiag(chunk generators) @ (disjoint
+rows of its mask)``, chunk after chunk: one (small_code.n, small_code.k)
+codeword per desired block for the robust/Byzantine desired file, one
+(big_code.n, big_code.k) codeword per group (per file in multifile) for
+an undesired file, and single mask rows, (1, 1), for the desired files
+of the other variants.  Chunk ``a // n`` holds atom ``a``.  So the
+visible rows have rank sum over chunks of min(visible atoms, k), given
+two premises:
+
+- every mask is invertible: ``sample_invertible`` draws it so at build
+  time, and ``plans.validate_plan`` re-checks it for a loaded plan;
+- every chunk is its MDS generator times its mask rows:
+  ``build_plan`` constructs it so (Reed-Solomon generators are MDS), and
+  ``validate_plan`` recomputes every product.
 """
 
 from __future__ import annotations
@@ -16,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .gf import mat_rank
+import numpy as np
+
 from .patterns import family_eval
 from .plans import PreconditionViolated, QueryPlan, SchemeParams, Variant
 from .storage import Transcript
@@ -87,11 +104,28 @@ def rate_report(plan: QueryPlan, transcript: Transcript) -> RateReport:
     return RateReport(achieved=achieved, closed_form=closed, match=achieved == closed)
 
 
+def _chunk_shape(plan: QueryPlan, f: int) -> tuple[int, int]:
+    """(atoms, dimension) of each MDS chunk of file f's atom coefficients."""
+    if f not in plan.params.desired:
+        return plan.big_code.n, plan.big_code.k
+    if plan.small_code is not None:
+        return plan.small_code.n, plan.small_code.k
+    return 1, 1
+
+
 def collusion_view_ranks(plan: QueryPlan, servers) -> PrivacyAudit:
-    """Per-file rank of the atom coefficients visible to these servers."""
+    """Per-file rank of the atom coefficients visible to these servers.
+
+    Counted, not eliminated: chunk ``a // n`` of a file holds atom ``a``,
+    and a chunk of dimension ``k`` contributes ``min(visible atoms, k)``.
+    This is the rank because every chunk generator is MDS and the chunks
+    multiply disjoint rows of an invertible mask (module docstring).
+    """
     view = tuple(sorted(set(int(n) for n in servers)))
     if not view:
         raise ValueError("collusion set must be nonempty")
+    if not 0 <= view[0] <= view[-1] < plan.params.n_servers:
+        raise ValueError(f"collusion set {view} outside range(N={plan.params.n_servers})")
     visible = plan.visible_symbols(view)
     ranks = []
     for f in range(plan.params.n_files):
@@ -99,8 +133,9 @@ def collusion_view_ranks(plan: QueryPlan, servers) -> PrivacyAudit:
         for blk in plan.blocks:
             if f in blk.label:
                 atom_ids.update(blk.atoms[f][s] for s in visible)
-        rows = plan.atom_coeffs[f][sorted(atom_ids)]
-        ranks.append(mat_rank(rows, plan.params.modulus))
+        n, k = _chunk_shape(plan, f)
+        per_chunk = np.bincount(np.array(list(atom_ids), dtype=np.int64) // n)
+        ranks.append(int(np.minimum(per_chunk, k).sum()))
     expected = plan.expected_view_dim(view)
     ranks_t = tuple(ranks)
     passed = len(set(ranks_t)) == 1 and ranks_t[0] == expected

@@ -139,3 +139,20 @@ def decode_shared_query(responses: Mapping[int, int], code: StorageCode) -> np.n
         return gf.mat_solve(code.gen[:, servers].T, rhs, code.p)
     except gf.NoSolution as exc:
         raise SingularSystem(f"storage code is not MDS on columns {servers}") from exc
+
+
+# --- privacy audit ------------------------------------------------------------------
+
+
+def dense_view_ranks(plan, servers) -> tuple[int, ...]:
+    """Per-file rank of the visible atom coefficients, by elimination."""
+    visible = plan.visible_symbols(servers)
+    ranks = []
+    for f in range(plan.params.n_files):
+        atom_ids: set[int] = set()
+        for blk in plan.blocks:
+            if f in blk.label:
+                atom_ids.update(blk.atoms[f][s] for s in visible)
+        rows = plan.atom_coeffs[f][sorted(atom_ids)]
+        ranks.append(gf.mat_rank(rows, plan.params.modulus))
+    return tuple(ranks)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -239,4 +241,8 @@ def test_pattern_with_unqueried_server():
     audits = cp.full_privacy_sweep(plan)
     assert all(a.passed for a in audits)
     silent = cp.collusion_view_ranks(plan, (3,))
-    assert silent.per_file_rank == (0, 0) and silent.expected_rank == 0
+    assert silent.per_file_rank == (0, 0) and silent.expected_rank == 0 and silent.passed
+    for size in range(1, 5):
+        for servers in combinations(range(4), size):
+            ranks = cp.collusion_view_ranks(plan, servers).per_file_rank
+            assert ranks == oracles.dense_view_ranks(plan, servers), servers

@@ -132,6 +132,32 @@ def test_pattern_plan_shape(pattern_plan):
 def test_validate_plan_clean(factory):
     plan = cp.build_plan(factory())
     assert cp.validate_plan(plan) == []
+    assert cp.validate_plan(cp.plan_from_json(cp.plan_to_json(plan))) == []
+
+
+@pytest.mark.parametrize("factory", [robust_params, multifile_params])
+def test_validate_plan_catches_singular_mask(factory):
+    plan = cp.build_plan(factory())
+    mask = plan.masks[0].copy()
+    mask[1] = mask[0]
+    broken = replace(plan, masks=(mask,) + plan.masks[1:])
+    assert "mask of file 0 is not invertible" in cp.validate_plan(broken)
+
+
+@pytest.mark.parametrize("factory", [prototype_params, robust_params, multifile_params])
+@pytest.mark.parametrize("file", [0, -1])
+def test_validate_plan_catches_changed_atom_coeffs(factory, file):
+    plan = cp.build_plan(factory())
+    coeffs = list(plan.atom_coeffs)
+    coeffs[file] = coeffs[file].copy()
+    coeffs[file][3, 5] = (coeffs[file][3, 5] + 1) % plan.params.modulus
+    # the JSON round trip rebuilds the queries from the changed atoms, so
+    # only the comparison with the masks can notice
+    broken = cp.plan_from_json(cp.plan_to_json(replace(plan, atom_coeffs=tuple(coeffs))))
+    f = file % plan.params.n_files
+    assert cp.validate_plan(broken) == [
+        f"atom matrix for file {f} is not its chunk generators times its mask rows"
+    ]
 
 
 def test_validate_plan_catches_missing_query():

@@ -1,6 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coded_pir as cp
 from conftest import (
@@ -10,6 +15,7 @@ from conftest import (
     prototype_params,
     robust_params,
 )
+from oracles import dense_view_ranks
 
 
 # --- closed forms ----------------------------------------------------------------
@@ -152,6 +158,103 @@ def test_desired_identity_invariance():
         rb = cp.collusion_view_ranks(b, t)
         assert ra.per_file_rank == rb.per_file_rank
         assert ra.expected_rank == rb.expected_rank
+
+
+def test_collusion_view_ranks_rejects_unknown_servers(pattern_plan):
+    for servers in [(9,), (-1,), (0, 5), ()]:
+        with pytest.raises(ValueError):
+            cp.collusion_view_ranks(pattern_plan, servers)
+
+
+def _assert_counts_match_dense(plan):
+    """Counted ranks equal dense ranks on every nonempty server subset.
+
+    A view's rank only grows with the server set and stops at the rank
+    of the whole view.  So once a subset shows that top rank for a file,
+    every superset must show it too, and the dense rank runs only where
+    some file is still below its top.
+    """
+    n = plan.params.n_servers
+    top = dense_view_ranks(plan, range(n))
+    saturated = [[] for _ in top]
+    for size in range(1, n + 1):
+        for servers in combinations(range(n), size):
+            view = set(servers)
+            if all(any(s <= view for s in sat) for sat in saturated):
+                want = top
+            else:
+                want = dense_view_ranks(plan, servers)
+                for sat, rank, most in zip(saturated, want, top):
+                    if rank == most:
+                        sat.append(view)
+            assert cp.collusion_view_ranks(plan, servers).per_file_rank == want, (
+                plan.params, servers,
+            )
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [prototype_params, robust_params, byzantine_params, multifile_params, pattern_params],
+)
+@pytest.mark.parametrize("seed", [3, 7])
+def test_view_ranks_match_dense_on_every_server_subset(factory, seed):
+    _assert_counts_match_dense(cp.build_plan(factory(seed=seed)))
+
+
+def _row_count(params):
+    """L from the variant table in the ``plans`` docstring."""
+    n, k, t, m = params.n_servers, params.code_dim, params.collusion_size, params.n_files
+    symbols = comb(n, k)
+    x = {
+        "robust": comb(n - params.s_robust, k),
+        "byzantine": 2 * comb(n - params.b_byzantine, k) - symbols,
+    }.get(params.variant.value, symbols)
+    ab = cp.compute_alpha_beta(x, symbols - comb(n - t, k))
+    return ab.total * symbols if params.variant.value == "multifile" else x * ab.total ** (m - 1)
+
+
+def _small_feasible_shapes(max_rows=120):
+    """Per variant, every feasible parameter set with N <= 6, M <= 3, L <= max_rows."""
+    out = {}
+    for n in range(2, 7):
+        for k in range(1, n):
+            for t in range(1, n - k + 1):
+                for m in range(1, 4):
+                    shapes = (
+                        [("prototype", {})]
+                        + [("robust", {"s_robust": s}) for s in range(3)]
+                        + [("byzantine", {"b_byzantine": b}) for b in range(2)]
+                        + [("multifile", {"desired": tuple(range(p))}) for p in range(1, m + 1)]
+                    )
+                    for variant, extra in shapes:
+                        params = cp.SchemeParams(variant=variant, n_servers=n, code_dim=k,
+                                                 n_files=m, collusion_size=t, **extra)
+                        try:
+                            params.validate()
+                            if _row_count(params) <= max_rows:
+                                out.setdefault(variant, []).append(params)
+                        except (cp.PreconditionViolated, cp.InfeasibleRatio):
+                            pass
+    return out
+
+
+SMALL_FEASIBLE = _small_feasible_shapes()
+
+
+@st.composite
+def _small_feasible_params(draw):
+    params = draw(st.sampled_from(SMALL_FEASIBLE[draw(st.sampled_from(sorted(SMALL_FEASIBLE)))]))
+    if params.variant is not cp.Variant.MULTI_FILE:
+        params = replace(params, desired=(draw(st.integers(0, params.n_files - 1)),))
+    return replace(params, seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(params=_small_feasible_params())
+def test_view_ranks_match_dense_on_drawn_plans(params):
+    plan = cp.build_plan(params)
+    assert cp.validate_plan(plan) == []
+    _assert_counts_match_dense(plan)
 
 
 def test_audit_report_shape(pattern_plan):
