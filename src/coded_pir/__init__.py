@@ -42,9 +42,11 @@ from .plans import (
     AlphaBeta,
     AssistingArray,
     Block,
+    Chunk,
     FieldTooSmall,
     Group,
     InfeasibleRatio,
+    Layout,
     PreconditionViolated,
     Query,
     QueryPlan,
@@ -54,6 +56,7 @@ from .plans import (
     build_assisting_array,
     build_plan,
     compute_alpha_beta,
+    derive_layout,
     plan_from_json,
     plan_to_json,
     validate_plan,
@@ -71,7 +74,6 @@ from .rates import (
     multifile_capacity_bound,
     naive_comparison,
     rate_report,
-    session_report,
 )
 from .rs import (
     CodingError,

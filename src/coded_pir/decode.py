@@ -4,8 +4,9 @@ Decoding follows a fixed order: (1) solve every shared query from the K
 responses of its symbol's servers; (2) per group, rebuild the
 interference codeword from the pure blocks (completing erasures or
 correcting errors as the variant demands); (3) subtract interference
-from mixed blocks; (4) per desired block, recover the mask rows behind
-the block's atoms; (5) invert the desired files' masks.  Wherever more
+from mixed blocks; (4) per chunk of the desired file, recover the mask
+rows behind its atoms; (5) invert the desired files' masks.  Groups,
+blocks and chunks are read from the plan's layout.  Wherever more
 values are available than needed, consistency is verified and any
 mismatch surfaces as DecodingFailure.
 """
@@ -116,7 +117,6 @@ def _group_interference(
     """
     b = plan.n_symbols
     ab = plan.ab
-    assert plan.big_code is not None
     interference: dict[int, np.ndarray] = {}
     for group in plan.groups:
         known: dict[int, np.ndarray] = {}
@@ -130,10 +130,9 @@ def _group_interference(
             for s in range(b):
                 interference[blk_id * b + s] = full[j * b + s]
         if len(group.base_label) == 1:
-            f = group.base_label[0]
-            start = group.atom_start[f]
+            ((f, chunk),) = group.chunks.items()
             for t, flag in enumerate(_flags(known, full)):
-                record.add(f, start + t, full[t], flag)
+                record.add(f, chunk.atoms[0] + t, full[t], flag)
     return interference
 
 
@@ -147,9 +146,9 @@ def _reconstruct_standard(
     interference = _group_interference(plan, values, record, correct)
 
     rows_value = np.zeros((plan.l_rows, plan.params.code_dim), dtype=np.int64)
-    for blk in plan.blocks:
-        if des not in blk.label:
-            continue
+    # One desired chunk per block the desired file labels, in block order.
+    desired_blocks = [blk for blk in plan.blocks if des in blk.atom_start]
+    for blk, chunk in zip(desired_blocks, plan.layout.chunks[des]):
         vals: dict[int, np.ndarray] = {}
         for s in range(b):
             qid = blk.index * b + s
@@ -159,16 +158,16 @@ def _reconstruct_standard(
             if len(blk.label) > 1:
                 v = (v - interference[qid]) % p
             vals[s] = v
-        if plan.small_code is None:  # the atoms are the mask rows themselves
+        lo, hi = chunk.rows
+        if chunk.code is None:  # the atoms are the mask rows themselves
             for s, v in vals.items():
-                rows_value[blk.atoms[des][s]] = v
-                record.add(des, blk.atoms[des][s], v, FLAG_DIRECT)
+                rows_value[lo + s] = v
+                record.add(des, chunk.atoms[0] + s, v, FLAG_DIRECT)
             continue
-        message = rs.recover_message(plan.small_code, vals, correct)
-        restored = rs.encode(plan.small_code, message)
+        message = rs.recover_message(chunk.code, vals, correct)
+        restored = rs.encode(chunk.code, message)
         for s, flag in enumerate(_flags(vals, restored)):
-            record.add(des, blk.atoms[des][s], restored[s], flag)
-        lo, hi = blk.desired_rows
+            record.add(des, chunk.atoms[0] + s, restored[s], flag)
         rows_value[lo:hi] = message
     return {des: mat_mul(plan.mask_inverses[des], rows_value, p)}, record
 
@@ -182,7 +181,7 @@ def _reconstruct_multifile(
     k = plan.params.code_dim
     desired = list(plan.params.desired)
     undesired = [f for f in range(plan.params.n_files) if f not in plan.params.desired]
-    assert plan.big_code is not None and plan.mix_matrix is not None
+    assert plan.mix_matrix is not None
     record = RecoveredAtoms(values={}, flags={})
 
     atom_vals = {f: np.zeros((plan.l_rows, k), dtype=np.int64) for f in range(plan.params.n_files)}
@@ -191,16 +190,17 @@ def _reconstruct_multifile(
         if blk.mix_row is not None:
             sigma[(blk.mix_round, blk.mix_row)] = blk.index
             continue
-        f = blk.label[0]
+        ((f, start),) = blk.atom_start.items()
         for s in range(b):
-            atom_vals[f][blk.atoms[f][s]] = values[blk.index * b + s]
-            record.add(f, blk.atoms[f][s], values[blk.index * b + s], FLAG_DIRECT)
+            atom_vals[f][start + s] = values[blk.index * b + s]
+            record.add(f, start + s, values[blk.index * b + s], FLAG_DIRECT)
 
     # Undesired files ride the big code: singleton positions determine the rest.
     shared = ab.beta * b
     for f in undesired:
-        known = {t: atom_vals[f][t] for t in range(shared, plan.big_code.n)}
-        full = rs.encode(plan.big_code, rs.recover_message(plan.big_code, known, correct))
+        (chunk,) = plan.layout.chunks[f]
+        known = {t: atom_vals[f][t] for t in range(shared, chunk.atoms[1])}
+        full = rs.encode(chunk.code, rs.recover_message(chunk.code, known, correct))
         atom_vals[f][:shared] = full[:shared]
         for t, flag in enumerate(_flags(known, full)[:shared]):
             record.add(f, t, full[t], flag)

@@ -1,14 +1,21 @@
 """Deterministic query-plan construction for the five retrieval variants.
 
-A plan fixes everything the user-side randomness decides: the pure/mixed
-block ratio (alpha, beta), the assisting array, the block and group
-layout, and per file an atom coefficient matrix whose rows express each
-atom as a combination of that file's rows.  Queries are vectors in the
-concatenated M*L coordinate space; each one is shared by the K servers
-of its symbol's subset.
+A plan has a layout and a seeded part.  The layout (``derive_layout``)
+is a pure function of the parameters: the pure/mixed block ratio (alpha,
+beta), the assisting array, the codes, and per file a tuple of chunks,
+each a range of mask rows under one MDS code (or none) that yields a
+range of atoms; per block the first atom of each labelled file; per
+group its pure and mixed blocks.  The seeded part is one invertible mask
+per file, plus the multifile mixing matrix.  A file's atom coefficient
+matrix stacks, chunk after chunk, the chunk's generator times its mask
+rows.  Queries are vectors in the concatenated M*L coordinate space;
+each one is shared by the K servers of its symbol's subset.
 
-Construction is pure bookkeeping plus seeded sampling, so identical
-(params, seed) pairs produce bit-identical plans on every platform.
+Construction, validation, the privacy audit (``rates``), decoding and
+the plan JSON all read the one layout.  The v1 JSON's ``array``,
+``blocks`` and ``groups`` fields are emitted from it, and a loaded plan
+must agree with the layout its parameters give.  Identical (params,
+seed) pairs produce bit-identical plans on every platform.
 
 Variant summary, writing g = alpha + beta, b = number of assisting-array
 symbols, b_T = C(N-T,K), b_S = C(N-S,K), e_B = 2*C(N-B,K) - C(N,K):
@@ -23,10 +30,10 @@ symbols, b_T = C(N-T,K), b_S = C(N-S,K), e_B = 2*C(N-B,K) - C(N,K):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb, gcd
 
 import numpy as np
@@ -229,27 +236,68 @@ def build_assisting_array(n_servers: int, family: BlockFamily) -> AssistingArray
     return AssistingArray(n_servers=n_servers, symbols=family.blocks, columns=columns)
 
 
-@dataclass
+@dataclass(frozen=True)
+class Chunk:
+    """Atoms ``atoms`` of one file are ``code.gen_t @ mask[rows]``.
+
+    ``code`` None means the atoms are the mask rows themselves.  Every
+    chunk's generator is MDS, so any ``k`` of its atoms are independent.
+    """
+
+    code: rs.RsCode | None
+    rows: tuple[int, int]
+    atoms: tuple[int, int]
+
+    @property
+    def k(self) -> int:
+        return self.rows[1] - self.rows[0]
+
+
+@dataclass(frozen=True)
 class Block:
-    """One assisting-array-shaped slice of the query structure."""
+    """One assisting-array-shaped slice of the query structure.
+
+    Labelled file f contributes its atoms ``atom_start[f]`` onward, one
+    per symbol of the array.
+    """
 
     index: int
     label: tuple[int, ...]
-    atoms: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    atom_start: dict[int, int]
     mix_row: int | None = None  # multifile: row of the mixing matrix
     mix_round: int | None = None  # multifile: which beta-round of shared atoms
-    desired_rows: tuple[int, int] | None = None  # robust/byzantine: mask row slice
 
 
-@dataclass
+@dataclass(frozen=True)
 class Group:
-    """alpha pure blocks plus beta mixed blocks tied by one big codeword."""
+    """alpha pure blocks plus beta mixed blocks tied by one big codeword.
+
+    ``chunks[f]`` is the big-code chunk of each base-label file; its
+    atoms run over the mixed blocks first, then the pure ones.
+    """
 
     base_label: tuple[int, ...]
     pure_blocks: tuple[int, ...]
     mixed_blocks: tuple[int, ...]
-    atom_start: dict[int, int] = field(default_factory=dict)
-    row_slices: dict[int, tuple[int, int]] = field(default_factory=dict)
+    chunks: dict[int, Chunk]
+
+
+@dataclass(frozen=True)
+class Layout:
+    """Everything about a plan that its parameters fix on their own.
+
+    ``chunks[f]`` tiles file f's atoms in order; the blocks say which
+    atoms each query touches, the groups which blocks share a codeword.
+    """
+
+    ab: AlphaBeta
+    l_rows: int
+    array: AssistingArray
+    big_code: rs.RsCode
+    small_code: rs.RsCode | None
+    chunks: tuple[tuple[Chunk, ...], ...]
+    blocks: tuple[Block, ...]
+    groups: tuple[Group, ...]
 
 
 @dataclass(frozen=True)
@@ -266,18 +314,40 @@ class Query:
 @dataclass(frozen=True, eq=False)
 class QueryPlan:
     params: SchemeParams
-    ab: AlphaBeta
-    l_rows: int
-    array: AssistingArray
-    blocks: tuple[Block, ...]
-    groups: tuple[Group, ...]
+    layout: Layout
     atom_coeffs: tuple[np.ndarray, ...]
     masks: tuple[np.ndarray, ...]
     queries: tuple[Query, ...]
     server_queries: tuple[tuple[int, ...], ...]
     mix_matrix: np.ndarray | None
-    big_code: rs.RsCode | None
-    small_code: rs.RsCode | None
+
+    @property
+    def ab(self) -> AlphaBeta:
+        return self.layout.ab
+
+    @property
+    def l_rows(self) -> int:
+        return self.layout.l_rows
+
+    @property
+    def array(self) -> AssistingArray:
+        return self.layout.array
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        return self.layout.blocks
+
+    @property
+    def groups(self) -> tuple[Group, ...]:
+        return self.layout.groups
+
+    @property
+    def big_code(self) -> rs.RsCode:
+        return self.layout.big_code
+
+    @property
+    def small_code(self) -> rs.RsCode | None:
+        return self.layout.small_code
 
     @property
     def n_symbols(self) -> int:
@@ -287,9 +357,6 @@ class QueryPlan:
     def mask_inverses(self) -> dict[int, np.ndarray]:
         """Inverses of the desired files' masks, computed once per plan."""
         return {f: mat_inv(self.masks[f], self.params.modulus) for f in self.params.desired}
-
-    def query_id(self, block: int, symbol: int) -> int:
-        return block * self.n_symbols + symbol
 
     def visible_symbols(self, servers) -> list[int]:
         """Symbols whose subsets intersect the given server set."""
@@ -323,221 +390,149 @@ def _ratio_inputs(params: SchemeParams, b: int) -> tuple[int, int]:
     return b, y
 
 
-def _check_field_size(params: SchemeParams, lengths: list[int]) -> None:
-    worst = max(lengths)
-    if worst >= params.modulus:
-        raise FieldTooSmall(
-            f"plan needs a code of length {worst}; modulus {params.modulus} is too small"
-        )
-
-
-def _standard_blocks(params: SchemeParams, ab: AlphaBeta) -> list[Block]:
-    """Blocks labelled by every nonempty file subset of size d, with
-    multiplicity alpha**(M-d) * beta**(d-1)."""
-    m = params.n_files
-    blocks: list[Block] = []
-    for d in range(1, m + 1):
-        mult = ab.alpha ** (m - d) * ab.beta ** (d - 1)
-        for label in combinations(range(m), d):
-            for _ in range(mult):
-                blocks.append(Block(index=len(blocks), label=label))
-    return blocks
-
-
-def _standard_plan(params: SchemeParams, family: BlockFamily, rng: FieldRng) -> QueryPlan:
-    p = params.modulus
-    m = params.n_files
-    des = params.desired[0]
+def derive_layout(params: SchemeParams) -> Layout:
+    """The chunks, blocks and groups of every plan built from ``params``."""
+    params.validate()
+    n, m = params.n_servers, params.n_files
+    multi = params.variant is Variant.MULTI_FILE
+    family = params.family
+    if params.variant is not Variant.PATTERN:
+        family = BlockFamily.all_subsets(n, params.code_dim)
     b = family.b
-    x, y = _ratio_inputs(params, b)
-    ab = compute_alpha_beta(x, y)
-    l_rows = x * ab.total ** (m - 1)
-
     needs_small = params.variant in (Variant.ROBUST, Variant.BYZANTINE)
-    big_n, big_k = ab.total * b, ab.alpha * x
-    lengths = [params.n_servers, big_n] + ([b] if needs_small else [])
-    _check_field_size(params, lengths)
-
-    array = build_assisting_array(params.n_servers, family)
-    masks = tuple(sample_invertible(l_rows, p, rng) for _ in range(m))
-    big_code = rs.rs_transposed_generator(big_n, big_k, p)
-    small_code = rs.rs_transposed_generator(b, x, p) if needs_small else None
-
-    blocks = _standard_blocks(params, ab)
-
-    chunks: dict[int, list[np.ndarray]] = {f: [] for f in range(m)}
-    atom_counts = {f: 0 for f in range(m)}
-
-    # Desired-file atoms, block by block in construction order.
-    if needs_small:
-        assert small_code is not None
-        row_cursor = 0
-        for blk in blocks:
-            if des not in blk.label:
-                continue
-            sl = (row_cursor, row_cursor + x)
-            row_cursor += x
-            blk.desired_rows = sl
-            blk.atoms[des] = tuple(range(atom_counts[des], atom_counts[des] + b))
-            chunks[des].append(mat_mul(small_code.gen_t, masks[des][sl[0] : sl[1]], p))
-            atom_counts[des] += b
-        assert row_cursor == l_rows
+    try:
+        x, y = _ratio_inputs(params, b)
+        ab = compute_alpha_beta(x, y)
+        longest = max([n, ab.total * b] + ([b] if needs_small else []) + ([m] if multi else []))
+        if longest >= params.modulus:
+            raise FieldTooSmall(
+                f"plan needs a code of length {longest}; modulus {params.modulus} is too small"
+            )
+        big_code = rs.rs_transposed_generator(ab.total * b, ab.alpha * x, params.modulus)
+        small_code = rs.rs_transposed_generator(b, x, params.modulus) if needs_small else None
+    except InfeasibleRatio as exc:
+        raise PreconditionViolated(str(exc)) from exc
+    except rs.InvalidShape as exc:
+        raise FieldTooSmall(str(exc)) from exc
+    if multi:
+        chunks, blocks, groups = _multifile_blocks(params, ab, b, big_code)
     else:
-        row_cursor = 0
-        for blk in blocks:
-            if des not in blk.label:
-                continue
-            blk.atoms[des] = tuple(range(row_cursor, row_cursor + b))
-            row_cursor += b
-        assert row_cursor == l_rows
-        chunks[des].append(masks[des])
-        atom_counts[des] = l_rows
+        chunks, blocks, groups = _standard_blocks(params, ab, b, x, big_code, small_code)
+    return Layout(
+        ab=ab,
+        l_rows=ab.total * b if multi else x * ab.total ** (m - 1),
+        array=build_assisting_array(n, family),
+        big_code=big_code,
+        small_code=small_code,
+        chunks=tuple(tuple(c) for c in chunks),
+        blocks=tuple(blocks),
+        groups=tuple(groups),
+    )
 
-    # Undesired-file atoms, one big codeword per (group, file).
+
+def _standard_blocks(params, ab, b, x, big_code, small_code):
+    """Blocks labelled by every nonempty file subset of size d, with
+    multiplicity alpha**(M-d) * beta**(d-1).
+
+    The desired file takes one chunk per block it labels, in block order:
+    x mask rows under the small code, or b rows read directly.  Every
+    other file takes one big-code chunk per group whose base label holds
+    it.
+    """
+    m, des = params.n_files, params.desired[0]
+    labels = [
+        label
+        for d in range(1, m + 1)
+        for label in combinations(range(m), d)
+        for _ in range(ab.alpha ** (m - d) * ab.beta ** (d - 1))
+    ]
+    chunks: list[list[Chunk]] = [[] for _ in range(m)]
+
+    def next_chunk(f: int, code: rs.RsCode | None, k: int, n: int) -> Chunk:
+        j = len(chunks[f])
+        chunks[f].append(Chunk(code, (j * k, (j + 1) * k), (j * n, (j + 1) * n)))
+        return chunks[f][-1]
+
+    starts: list[dict[int, int]] = [{} for _ in labels]
     by_label: dict[tuple[int, ...], list[int]] = {}
-    for blk in blocks:
-        by_label.setdefault(blk.label, []).append(blk.index)
+    for i, label in enumerate(labels):
+        by_label.setdefault(label, []).append(i)
+        if des in label:
+            starts[i][des] = next_chunk(des, small_code, x, b).atoms[0]
+
     groups: list[Group] = []
-    row_cursors = {f: 0 for f in range(m) if f != des}
     others = [f for f in range(m) if f != des]
     for d in range(1, m):
         for base in combinations(others, d):
-            pure = by_label[base]
-            mixed = by_label[tuple(sorted(base + (des,)))]
-            n_groups = len(pure) // ab.alpha
-            assert len(mixed) == n_groups * ab.beta
-            for g in range(n_groups):
+            pure, mixed = by_label[base], by_label[tuple(sorted(base + (des,)))]
+            for g in range(len(pure) // ab.alpha):
                 group = Group(
                     base_label=base,
                     pure_blocks=tuple(pure[g * ab.alpha : (g + 1) * ab.alpha]),
                     mixed_blocks=tuple(mixed[g * ab.beta : (g + 1) * ab.beta]),
+                    chunks={f: next_chunk(f, big_code, big_code.k, big_code.n) for f in base},
                 )
-                for f in base:
-                    sl = (row_cursors[f], row_cursors[f] + big_k)
-                    row_cursors[f] += big_k
-                    if sl[1] > l_rows:
-                        raise SchemeError("mask rows exhausted; ratio bookkeeping is wrong")
-                    group.row_slices[f] = sl
-                    group.atom_start[f] = atom_counts[f]
-                    chunks[f].append(mat_mul(big_code.gen_t, masks[f][sl[0] : sl[1]], p))
-                    pos = atom_counts[f]
-                    for blk_id in group.mixed_blocks + group.pure_blocks:
-                        blocks[blk_id].atoms[f] = tuple(range(pos, pos + b))
-                        pos += b
-                    atom_counts[f] = pos
+                for f, chunk in group.chunks.items():
+                    for i, blk in enumerate(group.mixed_blocks + group.pure_blocks):
+                        starts[blk][f] = chunk.atoms[0] + i * b
                 groups.append(group)
+    blocks = [Block(index=i, label=label, atom_start=starts[i]) for i, label in enumerate(labels)]
+    return chunks, blocks, groups
 
-    atom_coeffs = tuple(
-        np.vstack(chunks[f]) if chunks[f] else np.zeros((0, l_rows), dtype=np.int64)
+
+def _multifile_blocks(params, ab, b, big_code):
+    """alpha singleton blocks per file, then beta rounds of P fully mixed
+    blocks sharing atom indices across all files.
+
+    A desired file's atoms are its mask rows; an undesired file's are one
+    big codeword whose first beta*b positions are the shared ones.
+    """
+    m, l_rows = params.n_files, ab.total * b
+    chunks = [
+        [Chunk(None, (0, l_rows), (0, l_rows))]
+        if f in params.desired
+        else [Chunk(big_code, (0, big_code.k), (0, big_code.n))]
         for f in range(m)
-    )
-    queries, server_queries = _assemble_queries(params, array, blocks, atom_coeffs, None)
-    return QueryPlan(
-        params=params,
-        ab=ab,
-        l_rows=l_rows,
-        array=array,
-        blocks=tuple(blocks),
-        groups=tuple(groups),
-        atom_coeffs=atom_coeffs,
-        masks=masks,
-        queries=queries,
-        server_queries=server_queries,
-        mix_matrix=None,
-        big_code=big_code,
-        small_code=small_code,
-    )
+    ]
+    specs = [((f,), {f: (ab.beta + lam) * b}, None, None) for f in range(m) for lam in range(ab.alpha)]
+    specs += [
+        (tuple(range(m)), {f: lam * b for f in range(m)}, row, lam)
+        for lam in range(ab.beta)
+        for row in range(params.p_desired)
+    ]
+    blocks = [
+        Block(index=i, label=label, atom_start=start, mix_row=row, mix_round=lam)
+        for i, (label, start, row, lam) in enumerate(specs)
+    ]
+    return chunks, blocks, []
 
 
-def _multifile_plan(params: SchemeParams, family: BlockFamily, rng: FieldRng) -> QueryPlan:
-    p = params.modulus
-    m = params.n_files
-    b = family.b
-    x, y = _ratio_inputs(params, b)
-    ab = compute_alpha_beta(x, y)
-    l_rows = ab.total * b
-    big_n, big_k = ab.total * b, ab.alpha * b
-    _check_field_size(params, [params.n_servers, big_n, m])
-
-    array = build_assisting_array(params.n_servers, family)
-    masks = tuple(sample_invertible(l_rows, p, rng) for _ in range(m))
-    big_code = rs.rs_transposed_generator(big_n, big_k, p)
-    # Mixing matrix: Reed-Solomon generator with randomly permuted columns,
-    # so any P of its M columns are independent.
-    h_base = rs.rs_transposed_generator(m, params.p_desired, p).gen_t.T
-    mix_matrix = h_base[:, rng.permutation(m)].copy()
-
-    desired = set(params.desired)
-    chunks = []
-    for f in range(m):
-        if f in desired:
-            chunks.append(masks[f])
-        else:
-            chunks.append(mat_mul(big_code.gen_t, masks[f][:big_k], p))
-    atom_coeffs = tuple(chunks)
-
-    blocks: list[Block] = []
-    for f in range(m):
-        for lam in range(ab.alpha):
-            start = (ab.beta + lam) * b
-            blocks.append(
-                Block(
-                    index=len(blocks),
-                    label=(f,),
-                    atoms={f: tuple(range(start, start + b))},
-                )
-            )
-    all_files = tuple(range(m))
-    for lam in range(ab.beta):
-        for row in range(params.p_desired):
-            shared = {f: tuple(range(lam * b, (lam + 1) * b)) for f in range(m)}
-            blocks.append(
-                Block(
-                    index=len(blocks),
-                    label=all_files,
-                    atoms=shared,
-                    mix_row=row,
-                    mix_round=lam,
-                )
-            )
-
-    queries, server_queries = _assemble_queries(params, array, blocks, atom_coeffs, mix_matrix)
-    return QueryPlan(
-        params=params,
-        ab=ab,
-        l_rows=l_rows,
-        array=array,
-        blocks=tuple(blocks),
-        groups=(),
-        atom_coeffs=atom_coeffs,
-        masks=masks,
-        queries=queries,
-        server_queries=server_queries,
-        mix_matrix=mix_matrix,
-        big_code=big_code,
-        small_code=None,
-    )
+def _atom_matrix(chunks: tuple[Chunk, ...], mask: np.ndarray, p: int) -> np.ndarray:
+    """A file's atom coefficients: each chunk's generator times its mask rows."""
+    return np.vstack([
+        mask[c.rows[0] : c.rows[1]]
+        if c.code is None
+        else mat_mul(c.code.gen_t, mask[c.rows[0] : c.rows[1]], p)
+        for c in chunks
+    ])
 
 
 def _assemble_queries(
     params: SchemeParams,
-    array: AssistingArray,
-    blocks: list[Block],
+    layout: Layout,
     atom_coeffs: tuple[np.ndarray, ...],
     mix_matrix: np.ndarray | None,
 ) -> tuple[tuple[Query, ...], tuple[tuple[int, ...], ...]]:
-    p = params.modulus
-    m = params.n_files
-    l_rows = atom_coeffs[params.desired[0]].shape[1]
+    p, m, l_rows = params.modulus, params.n_files, layout.l_rows
+    b = layout.array.n_symbols
     queries: list[Query] = []
     per_server: list[list[int]] = [[] for _ in range(params.n_servers)]
-    for blk in blocks:
-        vectors = np.zeros((array.n_symbols, m * l_rows), dtype=np.int64)
-        for f in blk.label:
+    for blk in layout.blocks:
+        vectors = np.zeros((b, m * l_rows), dtype=np.int64)
+        for f, start in blk.atom_start.items():
             coeff = 1 if blk.mix_row is None else int(mix_matrix[blk.mix_row, f])
-            rows = atom_coeffs[f][list(blk.atoms[f])]
-            vectors[:, f * l_rows : (f + 1) * l_rows] = coeff * rows % p
-        for s, subset in enumerate(array.symbols):
+            vectors[:, f * l_rows : (f + 1) * l_rows] = coeff * atom_coeffs[f][start : start + b] % p
+        for s, subset in enumerate(layout.array.symbols):
             qid = len(queries)
             queries.append(
                 Query(index=qid, block=blk.index, symbol=s, servers=subset, vector=vectors[s])
@@ -548,199 +543,72 @@ def _assemble_queries(
 
 
 def build_plan(params: SchemeParams) -> QueryPlan:
-    """Construct the full deterministic query plan for ``params``."""
-    params.validate()
-    try:
-        family = (
-            params.family
-            if params.variant is Variant.PATTERN
-            else BlockFamily.all_subsets(params.n_servers, params.code_dim)
-        )
-        assert family is not None
-        rng = FieldRng(derive_seed(params.seed, PLAN_STREAM), params.modulus)
-        if params.variant is Variant.MULTI_FILE:
-            return _multifile_plan(params, family, rng)
-        return _standard_plan(params, family, rng)
-    except InfeasibleRatio as exc:
-        raise PreconditionViolated(str(exc)) from exc
-    except rs.InvalidShape as exc:
-        raise FieldTooSmall(str(exc)) from exc
+    """Construct the full deterministic query plan for ``params``.
+
+    The layout fixes every chunk; the seeded stream then draws one
+    invertible mask per file and, for multifile, the column order of the
+    mixing matrix.
+    """
+    layout = derive_layout(params)
+    p, m = params.modulus, params.n_files
+    rng = FieldRng(derive_seed(params.seed, PLAN_STREAM), p)
+    masks = tuple(sample_invertible(layout.l_rows, p, rng) for _ in range(m))
+    mix_matrix = None
+    if params.variant is Variant.MULTI_FILE:
+        # Reed-Solomon generator with randomly permuted columns, so any P
+        # of its M columns are independent.
+        h_base = rs.rs_transposed_generator(m, params.p_desired, p).gen_t.T
+        mix_matrix = h_base[:, rng.permutation(m)].copy()
+    atom_coeffs = tuple(_atom_matrix(layout.chunks[f], masks[f], p) for f in range(m))
+    queries, server_queries = _assemble_queries(params, layout, atom_coeffs, mix_matrix)
+    return QueryPlan(
+        params=params,
+        layout=layout,
+        atom_coeffs=atom_coeffs,
+        masks=masks,
+        queries=queries,
+        server_queries=server_queries,
+        mix_matrix=mix_matrix,
+    )
 
 
 def validate_plan(plan: QueryPlan) -> list[str]:
-    """Re-derive every structural invariant; return the violations found."""
-    out: list[str] = []
+    """Check what the layout does not guarantee; return the violations found.
+
+    The layout itself is derived from the parameters, so its block
+    multiplicities, groups and row ranges hold by construction (and
+    ``plan_from_json`` refuses stored ones that differ).  What is left:
+    the parameters, the queries, and the two premises of the privacy
+    audit's rank count (module ``rates``): every mask is invertible, and
+    every file's atom coefficients are its chunk generators times its
+    mask rows.
+    """
     params = plan.params
-    m, k = params.n_files, params.code_dim
-    ab = plan.ab
-    b = plan.array.n_symbols
     try:
         params.validate()
     except PreconditionViolated as exc:
-        out.append(f"params: {exc}")
-        return out
-
-    x, _ = _ratio_inputs(params, b)
-    expect_l = ab.total * b if params.variant is Variant.MULTI_FILE else x * ab.total ** (m - 1)
-    if plan.l_rows != expect_l:
-        out.append(f"row count {plan.l_rows} != variant formula {expect_l}")
-
-    for s, subset in enumerate(plan.array.symbols):
-        if len(subset) != k:
-            out.append(f"symbol {s} has size {len(subset)} != K")
-        for n in range(params.n_servers):
-            count = plan.array.columns[n].count(s)
-            if count != (1 if n in subset else 0):
-                out.append(f"symbol {s} appears {count} times in column {n}")
-
-    # Block label multiplicities.
-    label_counts: dict[tuple[int, ...], int] = {}
-    for blk in plan.blocks:
-        label_counts[blk.label] = label_counts.get(blk.label, 0) + 1
-    if params.variant is Variant.MULTI_FILE:
-        expected_counts = {(f,): ab.alpha for f in range(m)}
-        if params.p_desired * ab.beta:
-            expected_counts[tuple(range(m))] = (
-                expected_counts.get(tuple(range(m)), 0) + params.p_desired * ab.beta
-            )
-    else:
-        expected_counts = {}
-        for d in range(1, m + 1):
-            for label in combinations(range(m), d):
-                expected_counts[label] = ab.alpha ** (m - d) * ab.beta ** (d - 1)
-    if label_counts != expected_counts:
-        out.append(f"block multiplicity: got {label_counts}, expected {expected_counts}")
-
-    # Queries: one per (block, symbol), served exactly by the symbol's subset.
-    if len(plan.queries) != len(plan.blocks) * b:
-        out.append("query count != blocks * symbols")
-    membership: dict[int, list[int]] = {q.index: [] for q in plan.queries}
-    for n, qids in enumerate(plan.server_queries):
-        for qid in qids:
-            membership[qid].append(n)
-    for q in plan.queries:
-        if tuple(membership[q.index]) != q.servers:
-            out.append(f"query {q.index} multiplicity != K (served by {membership[q.index]})")
-        if q.servers != plan.array.symbols[q.symbol]:
-            out.append(f"query {q.index} servers disagree with its symbol")
-    # Vectors must match the atom bookkeeping.
-    l_rows = plan.l_rows
-    for q in plan.queries:
-        if q.block >= len(plan.blocks):
-            out.append(f"query {q.index} references unknown block {q.block}")
+        return [f"params: {exc}"]
+    out: list[str] = []
+    p, l_rows = params.modulus, plan.l_rows
+    queries, server_queries = _assemble_queries(params, plan.layout, plan.atom_coeffs, plan.mix_matrix)
+    if plan.server_queries != server_queries:
+        out.append("query multiplicity: servers do not hold exactly their symbols' queries")
+    for q, want in zip_longest(plan.queries, queries):
+        if q is None or want is None or (q.index, q.block, q.symbol, q.servers) != (
+            want.index, want.block, want.symbol, want.servers
+        ):
+            out.append("queries are not one per (block, symbol) served by the symbol's subset")
             break
-        blk = plan.blocks[q.block]
-        vec = np.zeros(m * l_rows, dtype=np.int64)
-        for f in blk.label:
-            coeff = 1 if blk.mix_row is None else int(plan.mix_matrix[blk.mix_row, f])
-            vec[f * l_rows : (f + 1) * l_rows] = (
-                vec[f * l_rows : (f + 1) * l_rows]
-                + coeff * plan.atom_coeffs[f][blk.atoms[f][q.symbol]]
-            ) % params.modulus
-        if not np.array_equal(vec, q.vector):
+        if not np.array_equal(q.vector, want.vector):
             out.append(f"query {q.index} vector disagrees with its atoms")
             break
-
-    # Groups partition the desired-free-labelled blocks and their mixed partners.
-    if params.variant is not Variant.MULTI_FILE:
-        des = params.desired[0]
-        seen: set[int] = set()
-        for g, group in enumerate(plan.groups):
-            if len(group.pure_blocks) != ab.alpha or len(group.mixed_blocks) != ab.beta:
-                out.append(f"group {g} does not hold alpha pure + beta mixed blocks")
-            if any(i >= len(plan.blocks) for i in group.pure_blocks + group.mixed_blocks):
-                out.append(f"group {g} references an unknown block")
-                continue
-            for blk_id in group.pure_blocks:
-                if plan.blocks[blk_id].label != group.base_label:
-                    out.append(f"group {g} pure block {blk_id} has the wrong label")
-            for blk_id in group.mixed_blocks:
-                if plan.blocks[blk_id].label != tuple(sorted(group.base_label + (des,))):
-                    out.append(f"group {g} mixed block {blk_id} has the wrong label")
-            for blk_id in group.pure_blocks + group.mixed_blocks:
-                if blk_id in seen:
-                    out.append(f"block {blk_id} appears in two groups")
-                seen.add(blk_id)
-        ungrouped = set(range(len(plan.blocks))) - seen
-        for blk_id in sorted(ungrouped):
-            if plan.blocks[blk_id].label != (des,):
-                out.append(f"block {blk_id} belongs to no group")
-
-        # Row-slice bookkeeping: disjoint, in range, and within budget.
-        for f in range(m):
-            slices = []
-            if f == des:
-                if params.variant in (Variant.ROBUST, Variant.BYZANTINE):
-                    slices = [blk.desired_rows for blk in plan.blocks if des in blk.label]
-                    if None in slices:
-                        out.append("desired-labelled block lacks a mask row slice")
-                        continue
-            else:
-                slices = [g.row_slices[f] for g in plan.groups if f in g.row_slices]
-            used: set[int] = set()
-            for lo, hi in slices:
-                if not 0 <= lo < hi <= plan.l_rows:
-                    out.append(f"file {f} row slice ({lo},{hi}) out of range")
-                span = set(range(lo, hi))
-                if used & span:
-                    out.append(f"file {f} row slices intersect")
-                used |= span
-            if f == des and params.variant in (Variant.ROBUST, Variant.BYZANTINE):
-                if used != set(range(plan.l_rows)):
-                    out.append("desired mask rows are not fully consumed")
-        if m >= 2:
-            budget = ab.total ** (m - 2) * ab.alpha * x
-            if budget > plan.l_rows:
-                out.append(f"row budget {budget} exceeds L={plan.l_rows}")
-
-    # Label symmetry: every maximal collusion set sees equally many atoms per file.
-    for t in plan.maximal_collusion_sets():
-        visible = plan.visible_symbols(t)
-        per_file = []
-        for f in range(m):
-            atoms = set()
-            for blk in plan.blocks:
-                if f in blk.label:
-                    atoms.update(blk.atoms[f][s] for s in visible)
-            per_file.append(len(atoms))
-        if len(set(per_file)) > 1:
-            out.append(f"collusion set {t} sees unequal atom counts {per_file}")
-
-    # Premises of the privacy audit's rank count (module ``rates``): every
-    # mask is invertible, and every file's atom coefficients are its chunk
-    # generators times rows of its mask (disjoint rows, checked above).
-    for f in range(m):
+    for f in range(params.n_files):
         mask = plan.masks[f]
-        if mask.shape != (plan.l_rows, plan.l_rows) or mat_rank(mask, params.modulus) != plan.l_rows:
+        if mask.shape != (l_rows, l_rows) or mat_rank(mask, p) != l_rows:
             out.append(f"mask of file {f} is not invertible")
-        expected = _chunk_products(plan, f)
-        if expected is None or not np.array_equal(expected, plan.atom_coeffs[f]):
+        elif not np.array_equal(_atom_matrix(plan.layout.chunks[f], mask, p), plan.atom_coeffs[f]):
             out.append(f"atom matrix for file {f} is not its chunk generators times its mask rows")
-        if plan.atom_coeffs[f].shape[1] != plan.l_rows:
-            out.append(f"atom matrix for file {f} has width != L")
     return out
-
-
-def _chunk_products(plan: QueryPlan, f: int) -> np.ndarray | None:
-    """File f's atom coefficients rebuilt from its mask, chunk after chunk.
-
-    None when the row bookkeeping does not give each chunk generator
-    exactly as many mask rows as its dimension.
-    """
-    mask = plan.masks[f]
-    if f in plan.params.desired and plan.small_code is None:
-        return mask
-    if plan.params.variant is Variant.MULTI_FILE:
-        code, slices = plan.big_code, [(0, plan.big_code.k)]
-    elif f in plan.params.desired:
-        code = plan.small_code
-        slices = [blk.desired_rows for blk in plan.blocks if f in blk.label]
-    else:
-        code, slices = plan.big_code, [g.row_slices[f] for g in plan.groups if f in g.row_slices]
-    if any(sl is None or mask[sl[0] : sl[1]].shape[0] != code.k for sl in slices):
-        return None
-    parts = [mat_mul(code.gen_t, mask[lo:hi], plan.params.modulus) for lo, hi in slices]
-    return np.vstack(parts) if parts else np.zeros((0, mask.shape[1]), dtype=np.int64)
 
 
 # --- canonical JSON serialization -------------------------------------------
@@ -786,107 +654,97 @@ def params_from_dict(data: dict) -> SchemeParams:
     )
 
 
-def plan_to_json(plan: QueryPlan) -> str:
-    """Canonical JSON for golden-plan diffs; loadable by plan_from_json."""
-    doc = {
-        "schema": _SCHEMA,
-        "params": params_to_dict(plan.params),
-        "alpha": plan.ab.alpha,
-        "beta": plan.ab.beta,
-        "l_rows": plan.l_rows,
+def _bookkeeping(params: SchemeParams, layout: Layout) -> dict:
+    """The v1 plan JSON fields that the layout determines, emitted from it.
+
+    A block's ``desired_rows`` are the mask rows of the desired file's
+    chunk behind its atoms, when that chunk has a code.
+    """
+    b, des = layout.array.n_symbols, params.desired[0]
+
+    def desired_rows(blk: Block) -> list[int] | None:
+        if des not in blk.atom_start:
+            return None
+        a = blk.atom_start[des]
+        chunk = next(c for c in layout.chunks[des] if c.atoms[0] <= a < c.atoms[1])
+        return None if chunk.code is None else list(chunk.rows)
+
+    def code(c: rs.RsCode | None) -> dict | None:
+        return None if c is None else {"n": c.n, "k": c.k}
+
+    return {
+        "alpha": layout.ab.alpha,
+        "beta": layout.ab.beta,
+        "l_rows": layout.l_rows,
         "array": {
-            "symbols": [list(s) for s in plan.array.symbols],
-            "columns": [list(c) for c in plan.array.columns],
+            "symbols": [list(s) for s in layout.array.symbols],
+            "columns": [list(c) for c in layout.array.columns],
         },
         "blocks": [
             {
                 "label": list(blk.label),
-                "atoms": {str(f): list(a) for f, a in sorted(blk.atoms.items())},
+                "atoms": {str(f): list(range(a, a + b)) for f, a in sorted(blk.atom_start.items())},
                 "mix_row": blk.mix_row,
                 "mix_round": blk.mix_round,
-                "desired_rows": None if blk.desired_rows is None else list(blk.desired_rows),
+                "desired_rows": desired_rows(blk),
             }
-            for blk in plan.blocks
+            for blk in layout.blocks
         ],
         "groups": [
             {
                 "base_label": list(g.base_label),
                 "pure_blocks": list(g.pure_blocks),
                 "mixed_blocks": list(g.mixed_blocks),
-                "atom_start": {str(f): v for f, v in sorted(g.atom_start.items())},
-                "row_slices": {str(f): list(v) for f, v in sorted(g.row_slices.items())},
+                "atom_start": {str(f): c.atoms[0] for f, c in sorted(g.chunks.items())},
+                "row_slices": {str(f): list(c.rows) for f, c in sorted(g.chunks.items())},
             }
-            for g in plan.groups
+            for g in layout.groups
         ],
+        "big_code": code(layout.big_code),
+        "small_code": code(layout.small_code),
+    }
+
+
+def plan_to_json(plan: QueryPlan) -> str:
+    """Canonical JSON for golden-plan diffs; loadable by plan_from_json."""
+    doc = {
+        "schema": _SCHEMA,
+        "params": params_to_dict(plan.params),
+        **_bookkeeping(plan.params, plan.layout),
         "atom_coeffs": [a.tolist() for a in plan.atom_coeffs],
         "masks": [s.tolist() for s in plan.masks],
         "mix_matrix": None if plan.mix_matrix is None else plan.mix_matrix.tolist(),
-        "big_code": None if plan.big_code is None else {"n": plan.big_code.n, "k": plan.big_code.k},
-        "small_code": None
-        if plan.small_code is None
-        else {"n": plan.small_code.n, "k": plan.small_code.k},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def plan_from_json(text: str) -> QueryPlan:
+    """Load a plan: the layout is derived again from the stored parameters.
+
+    Stored bookkeeping that disagrees with that layout raises SchemeError;
+    the stored atom coefficients are read as they are (``validate_plan``
+    checks them against the masks).
+    """
     doc = json.loads(text)
     if doc.get("schema") != _SCHEMA:
         raise SchemeError(f"unknown plan schema {doc.get('schema')!r}")
     params = params_from_dict(doc["params"])
-    ab = AlphaBeta(alpha=doc["alpha"], beta=doc["beta"])
-    array = AssistingArray(
-        n_servers=params.n_servers,
-        symbols=tuple(tuple(s) for s in doc["array"]["symbols"]),
-        columns=tuple(tuple(c) for c in doc["array"]["columns"]),
-    )
-    blocks = [
-        Block(
-            index=i,
-            label=tuple(raw["label"]),
-            atoms={int(f): tuple(a) for f, a in raw["atoms"].items()},
-            mix_row=raw["mix_row"],
-            mix_round=raw["mix_round"],
-            desired_rows=None if raw["desired_rows"] is None else tuple(raw["desired_rows"]),
-        )
-        for i, raw in enumerate(doc["blocks"])
-    ]
-    groups = tuple(
-        Group(
-            base_label=tuple(raw["base_label"]),
-            pure_blocks=tuple(raw["pure_blocks"]),
-            mixed_blocks=tuple(raw["mixed_blocks"]),
-            atom_start={int(f): v for f, v in raw["atom_start"].items()},
-            row_slices={int(f): tuple(v) for f, v in raw["row_slices"].items()},
-        )
-        for raw in doc["groups"]
-    )
-    atom_coeffs = tuple(np.array(a, dtype=np.int64).reshape(-1, doc["l_rows"]) for a in doc["atom_coeffs"])
+    layout = derive_layout(params)
+    wrong = [key for key, value in _bookkeeping(params, layout).items() if doc.get(key) != value]
+    if wrong:
+        raise SchemeError(f"stored {', '.join(wrong)} disagree with the layout of the parameters")
+    atom_coeffs = tuple(np.array(a, dtype=np.int64).reshape(-1, layout.l_rows) for a in doc["atom_coeffs"])
+    if [a.shape[0] for a in atom_coeffs] != [c[-1].atoms[1] for c in layout.chunks]:
+        raise SchemeError("stored atom_coeffs do not hold one row per atom of each file")
     masks = tuple(np.array(s, dtype=np.int64) for s in doc["masks"])
     mix = None if doc["mix_matrix"] is None else np.array(doc["mix_matrix"], dtype=np.int64)
-    big = (
-        None
-        if doc["big_code"] is None
-        else rs.rs_transposed_generator(doc["big_code"]["n"], doc["big_code"]["k"], params.modulus)
-    )
-    small = (
-        None
-        if doc["small_code"] is None
-        else rs.rs_transposed_generator(doc["small_code"]["n"], doc["small_code"]["k"], params.modulus)
-    )
-    queries, server_queries = _assemble_queries(params, array, blocks, atom_coeffs, mix)
+    queries, server_queries = _assemble_queries(params, layout, atom_coeffs, mix)
     return QueryPlan(
         params=params,
-        ab=ab,
-        l_rows=doc["l_rows"],
-        array=array,
-        blocks=tuple(blocks),
-        groups=groups,
+        layout=layout,
         atom_coeffs=atom_coeffs,
         masks=masks,
         queries=queries,
         server_queries=server_queries,
         mix_matrix=mix,
-        big_code=big,
-        small_code=small,
     )

@@ -9,15 +9,15 @@ Equal ranks are the machine-checkable face of the schemes' privacy
 argument; distributional indistinguishability beyond rank is out of
 scope and documented as such.
 
-The rank is counted from the plan's structure, with no elimination.  A
+The rank is counted from the plan's layout, with no elimination.  A
 file's atom coefficients are ``blockdiag(chunk generators) @ (disjoint
-rows of its mask)``, chunk after chunk: one (small_code.n, small_code.k)
-codeword per desired block for the robust/Byzantine desired file, one
-(big_code.n, big_code.k) codeword per group (per file in multifile) for
-an undesired file, and single mask rows, (1, 1), for the desired files
-of the other variants.  Chunk ``a // n`` holds atom ``a``.  So the
-visible rows have rank sum over chunks of min(visible atoms, k), given
-two premises:
+rows of its mask)``, one chunk after another as ``plan.layout.chunks``
+lists them: a small-code chunk per desired block for the
+robust/Byzantine desired file, a big-code chunk per group (per file in
+multifile) for an undesired file, and the mask rows themselves for the
+desired files of the other variants.  So the visible rows have rank sum
+over chunks of min(visible atoms in the chunk, chunk.k), given two
+premises:
 
 - every mask is invertible: ``sample_invertible`` draws it so at build
   time, and ``plans.validate_plan`` re-checks it for a loaded plan;
@@ -104,38 +104,27 @@ def rate_report(plan: QueryPlan, transcript: Transcript) -> RateReport:
     return RateReport(achieved=achieved, closed_form=closed, match=achieved == closed)
 
 
-def _chunk_shape(plan: QueryPlan, f: int) -> tuple[int, int]:
-    """(atoms, dimension) of each MDS chunk of file f's atom coefficients."""
-    if f not in plan.params.desired:
-        return plan.big_code.n, plan.big_code.k
-    if plan.small_code is not None:
-        return plan.small_code.n, plan.small_code.k
-    return 1, 1
-
-
 def collusion_view_ranks(plan: QueryPlan, servers) -> PrivacyAudit:
     """Per-file rank of the atom coefficients visible to these servers.
 
-    Counted, not eliminated: chunk ``a // n`` of a file holds atom ``a``,
-    and a chunk of dimension ``k`` contributes ``min(visible atoms, k)``.
-    This is the rank because every chunk generator is MDS and the chunks
-    multiply disjoint rows of an invertible mask (module docstring).
+    Counted, not eliminated: each chunk of the plan's layout contributes
+    ``min(visible atoms in the chunk, chunk.k)``.  This is the rank
+    because every chunk generator is MDS and the chunks multiply disjoint
+    rows of an invertible mask (module docstring).
     """
     view = tuple(sorted(set(int(n) for n in servers)))
     if not view:
         raise ValueError("collusion set must be nonempty")
     if not 0 <= view[0] <= view[-1] < plan.params.n_servers:
         raise ValueError(f"collusion set {view} outside range(N={plan.params.n_servers})")
-    visible = plan.visible_symbols(view)
+    visible = np.array(plan.visible_symbols(view), dtype=np.int64)
     ranks = []
-    for f in range(plan.params.n_files):
-        atom_ids: set[int] = set()
-        for blk in plan.blocks:
-            if f in blk.label:
-                atom_ids.update(blk.atoms[f][s] for s in visible)
-        n, k = _chunk_shape(plan, f)
-        per_chunk = np.bincount(np.array(list(atom_ids), dtype=np.int64) // n)
-        ranks.append(int(np.minimum(per_chunk, k).sum()))
+    for f, chunks in enumerate(plan.layout.chunks):
+        starts = [blk.atom_start[f] for blk in plan.blocks if f in blk.atom_start]
+        seen = np.zeros(chunks[-1].atoms[1], dtype=np.int64)
+        seen[(np.array(starts, dtype=np.int64)[:, None] + visible).ravel()] = 1
+        per_chunk = np.add.reduceat(seen, [c.atoms[0] for c in chunks])
+        ranks.append(int(np.minimum(per_chunk, [c.k for c in chunks]).sum()))
     expected = plan.expected_view_dim(view)
     ranks_t = tuple(ranks)
     passed = len(set(ranks_t)) == 1 and ranks_t[0] == expected
@@ -207,13 +196,3 @@ def audit_report(plan: QueryPlan) -> dict:
         ],
         "all_pass": all(a.passed for a in audits),
     }
-
-
-def session_report(plan: QueryPlan, transcript: Transcript) -> dict:
-    """Combined JSON-ready report: privacy audits plus rate accounting."""
-    doc = audit_report(plan)
-    report = rate_report(plan, transcript)
-    doc["achieved"] = f"{report.achieved.numerator}/{report.achieved.denominator}"
-    doc["closed_form"] = f"{report.closed_form.numerator}/{report.closed_form.denominator}"
-    doc["match"] = report.match
-    return doc

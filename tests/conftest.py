@@ -1,5 +1,8 @@
 """Shared fixtures: the five worked-example parameter sets and their plans."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 import coded_pir as cp
@@ -44,6 +47,42 @@ def pattern_params(seed=7, desired=(0,)):
         family=cp.BlockFamily(PENTAGON_TRIPLES, 3),
         seed=seed,
     )
+
+
+# The five worked examples by name, as the pin tables key them.
+FACTORIES = {
+    "prototype": prototype_params,
+    "robust": robust_params,
+    "byzantine": byzantine_params,
+    "multifile": multifile_params,
+    "pattern": pattern_params,
+}
+
+
+def cli_argv(command, params, workdir):
+    """``command`` arguments that rebuild ``params`` from the command line.
+
+    A pattern and its family are written as JSON files into ``workdir``.
+    """
+    argv = [
+        command, "--variant", params.variant.value, "--n", str(params.n_servers),
+        "--k", str(params.code_dim), "--m", str(params.n_files),
+        "--desired", ",".join(str(f) for f in params.desired),
+        "--seed", str(params.seed),
+    ]
+    if params.collusion_size:
+        argv += ["--t", str(params.collusion_size)]
+    if params.s_robust:
+        argv += ["--s", str(params.s_robust)]
+    if params.b_byzantine:
+        argv += ["--b", str(params.b_byzantine)]
+    if params.pattern is not None:
+        pattern_file = Path(workdir) / "pattern.json"
+        family_file = Path(workdir) / "family.json"
+        pattern_file.write_text(json.dumps([list(s) for s in params.pattern.maximal_sets]))
+        family_file.write_text(json.dumps([list(s) for s in params.family.blocks]))
+        argv += ["--pattern", str(pattern_file), "--family", str(family_file)]
+    return argv
 
 
 @pytest.fixture(scope="session")

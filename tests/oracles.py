@@ -152,7 +152,7 @@ def dense_view_ranks(plan, servers) -> tuple[int, ...]:
         atom_ids: set[int] = set()
         for blk in plan.blocks:
             if f in blk.label:
-                atom_ids.update(blk.atoms[f][s] for s in visible)
+                atom_ids.update(blk.atom_start[f] + s for s in visible)
         rows = plan.atom_coeffs[f][sorted(atom_ids)]
         ranks.append(gf.mat_rank(rows, plan.params.modulus))
     return tuple(ranks)

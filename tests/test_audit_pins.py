@@ -16,53 +16,13 @@ import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from hashlib import sha256
-from pathlib import Path
 
 import pytest
 
 from coded_pir import cli
-from conftest import (
-    byzantine_params,
-    multifile_params,
-    pattern_params,
-    prototype_params,
-    robust_params,
-)
+from conftest import FACTORIES, cli_argv
 
 AUDIT_SEED = 3
-
-FACTORIES = {
-    "prototype": prototype_params,
-    "robust": robust_params,
-    "byzantine": byzantine_params,
-    "multifile": multifile_params,
-    "pattern": pattern_params,
-}
-
-
-def audit_argv(params, workdir, all_pairs=False):
-    """``audit`` arguments that rebuild ``params`` from the command line."""
-    argv = [
-        "audit", "--variant", params.variant.value, "--n", str(params.n_servers),
-        "--k", str(params.code_dim), "--m", str(params.n_files),
-        "--desired", ",".join(str(f) for f in params.desired),
-        "--seed", str(params.seed),
-    ]
-    if params.collusion_size:
-        argv += ["--t", str(params.collusion_size)]
-    if params.s_robust:
-        argv += ["--s", str(params.s_robust)]
-    if params.b_byzantine:
-        argv += ["--b", str(params.b_byzantine)]
-    if params.pattern is not None:
-        pattern_file = Path(workdir) / "pattern.json"
-        family_file = Path(workdir) / "family.json"
-        pattern_file.write_text(json.dumps([list(s) for s in params.pattern.maximal_sets]))
-        family_file.write_text(json.dumps([list(s) for s in params.family.blocks]))
-        argv += ["--pattern", str(pattern_file), "--family", str(family_file)]
-    if all_pairs:
-        argv.append("--all-pairs")
-    return argv
 
 
 def run_audit(name, all_pairs=False):
@@ -70,7 +30,7 @@ def run_audit(name, all_pairs=False):
     params = FACTORIES[name](seed=AUDIT_SEED)
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as workdir:
-        argv = audit_argv(params, workdir, all_pairs)
+        argv = cli_argv("audit", params, workdir) + (["--all-pairs"] if all_pairs else [])
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()

@@ -24,24 +24,10 @@ import numpy as np
 import pytest
 
 import coded_pir as cp
-from conftest import (
-    byzantine_params,
-    multifile_params,
-    pattern_params,
-    prototype_params,
-    robust_params,
-)
+from conftest import FACTORIES
 
 DB_SEED = 17
 LIAR_SEED = 1
-
-FACTORIES = {
-    "prototype": prototype_params,
-    "robust": robust_params,
-    "byzantine": byzantine_params,
-    "multifile": multifile_params,
-    "pattern": pattern_params,
-}
 
 
 def placements(name, n_servers):

@@ -14,23 +14,9 @@ from hashlib import sha256
 import pytest
 
 import coded_pir as cp
-from conftest import (
-    byzantine_params,
-    multifile_params,
-    pattern_params,
-    prototype_params,
-    robust_params,
-)
+from conftest import FACTORIES
 
 PLAN_SEED = 3
-
-FACTORIES = {
-    "prototype": prototype_params,
-    "robust": robust_params,
-    "byzantine": byzantine_params,
-    "multifile": multifile_params,
-    "pattern": pattern_params,
-}
 
 
 def plan_digest(name):

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from conftest import (
     prototype_params,
     robust_params,
 )
+from feasible import SMALL_FEASIBLE
 
 
 # --- ratio --------------------------------------------------------------------
@@ -169,11 +171,15 @@ def test_validate_plan_catches_missing_query():
 
 
 def test_validate_plan_catches_block_multiplicity():
-    plan = cp.build_plan(robust_params())
-    blocks = list(plan.blocks)
-    wrong = replace(plan, blocks=tuple(blocks[:-1]))
-    problems = cp.validate_plan(wrong)
-    assert any("block multiplicity" in v for v in problems)
+    # Blocks are derived from the parameters, so stored bookkeeping that
+    # disagrees with them is refused when a plan is loaded.
+    doc = json.loads(cp.plan_to_json(cp.build_plan(robust_params())))
+    doc["blocks"][-1]["atoms"]["1"][0] += 1
+    with pytest.raises(cp.SchemeError, match="blocks"):
+        cp.plan_from_json(json.dumps(doc))
+    doc["blocks"].pop()
+    with pytest.raises(cp.SchemeError, match="blocks"):
+        cp.plan_from_json(json.dumps(doc))
 
 
 def test_build_plan_deterministic():
@@ -199,13 +205,10 @@ def test_desired_atoms_cover_all_mask_rows(proto_plan, robust_plan):
     # prototype: desired atoms are the mask rows themselves
     des = proto_plan.params.desired[0]
     assert np.array_equal(proto_plan.atom_coeffs[des], proto_plan.masks[des])
-    # robust: per-block slices tile [0, L)
-    rows = sorted(
-        r
-        for blk in robust_plan.blocks
-        if blk.desired_rows is not None
-        for r in range(*blk.desired_rows)
-    )
+    # robust: one small-code chunk per desired block; their rows tile [0, L)
+    chunks = robust_plan.layout.chunks[robust_plan.params.desired[0]]
+    assert all(c.code is robust_plan.small_code for c in chunks)
+    rows = sorted(r for c in chunks for r in range(*c.rows))
     assert rows == list(range(robust_plan.l_rows))
 
 
@@ -216,15 +219,38 @@ def test_undesired_row_slices_disjoint(proto_plan):
         used = set()
         touched = 0
         for g in proto_plan.groups:
-            if f in g.row_slices:
+            if f in g.chunks:
                 touched += 1
-                lo, hi = g.row_slices[f]
+                lo, hi = g.chunks[f].rows
                 span = set(range(lo, hi))
                 assert not (used & span)
                 used |= span
         # a file is met once per group whose base label contains it
         assert touched == proto_plan.ab.total ** (proto_plan.params.n_files - 2)
         assert len(used) == touched * proto_plan.big_code.k
+
+
+@pytest.mark.parametrize("variant", sorted(SMALL_FEASIBLE))
+def test_layout_chunks_tile_atoms_and_rows(variant):
+    for params in SMALL_FEASIBLE[variant]:
+        layout = cp.derive_layout(params)
+        b, l_rows = layout.array.n_symbols, layout.l_rows
+        for f, chunks in enumerate(layout.chunks):
+            # in order, from atom 0, with no gap; disjoint rows of the mask
+            assert [c.atoms[0] for c in chunks] == [0] + [c.atoms[1] for c in chunks[:-1]]
+            rows = [r for c in chunks for r in range(*c.rows)]
+            assert len(set(rows)) == len(rows) and set(rows) <= set(range(l_rows))
+            for c in chunks:
+                shape = (c.atoms[1] - c.atoms[0], c.k)
+                assert shape[0] == shape[1] if c.code is None else (c.code.n, c.code.k) == shape
+            # every block's atoms of the file lie inside one chunk, and every atom is used
+            used = set()
+            for blk in layout.blocks:
+                if f in blk.atom_start:
+                    a = blk.atom_start[f]
+                    assert any(c.atoms[0] <= a and a + b <= c.atoms[1] for c in chunks)
+                    used.update(range(a, a + b))
+            assert used == set(range(chunks[-1].atoms[1]))
 
 
 def test_query_vectors_live_in_label_slices(multi_plan):

@@ -1,7 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +14,7 @@ from conftest import (
     prototype_params,
     robust_params,
 )
+from feasible import SMALL_FEASIBLE
 from oracles import dense_view_ranks
 
 
@@ -199,46 +199,6 @@ def _assert_counts_match_dense(plan):
 @pytest.mark.parametrize("seed", [3, 7])
 def test_view_ranks_match_dense_on_every_server_subset(factory, seed):
     _assert_counts_match_dense(cp.build_plan(factory(seed=seed)))
-
-
-def _row_count(params):
-    """L from the variant table in the ``plans`` docstring."""
-    n, k, t, m = params.n_servers, params.code_dim, params.collusion_size, params.n_files
-    symbols = comb(n, k)
-    x = {
-        "robust": comb(n - params.s_robust, k),
-        "byzantine": 2 * comb(n - params.b_byzantine, k) - symbols,
-    }.get(params.variant.value, symbols)
-    ab = cp.compute_alpha_beta(x, symbols - comb(n - t, k))
-    return ab.total * symbols if params.variant.value == "multifile" else x * ab.total ** (m - 1)
-
-
-def _small_feasible_shapes(max_rows=120):
-    """Per variant, every feasible parameter set with N <= 6, M <= 3, L <= max_rows."""
-    out = {}
-    for n in range(2, 7):
-        for k in range(1, n):
-            for t in range(1, n - k + 1):
-                for m in range(1, 4):
-                    shapes = (
-                        [("prototype", {})]
-                        + [("robust", {"s_robust": s}) for s in range(3)]
-                        + [("byzantine", {"b_byzantine": b}) for b in range(2)]
-                        + [("multifile", {"desired": tuple(range(p))}) for p in range(1, m + 1)]
-                    )
-                    for variant, extra in shapes:
-                        params = cp.SchemeParams(variant=variant, n_servers=n, code_dim=k,
-                                                 n_files=m, collusion_size=t, **extra)
-                        try:
-                            params.validate()
-                            if _row_count(params) <= max_rows:
-                                out.setdefault(variant, []).append(params)
-                        except (cp.PreconditionViolated, cp.InfeasibleRatio):
-                            pass
-    return out
-
-
-SMALL_FEASIBLE = _small_feasible_shapes()
 
 
 @st.composite
