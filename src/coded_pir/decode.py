@@ -19,8 +19,8 @@ from typing import Mapping
 import numpy as np
 
 from . import rs
-from .gf import NoSolution, mat_inv, mat_mul
-from .plans import QueryPlan, Variant
+from .gf import NoSolution, _mat_mul_reduced, mat_inv, mat_mul
+from .plans import Chunk, QueryPlan, Variant
 from .storage import StorageCode, Transcript, rs_storage_code
 
 
@@ -136,16 +136,38 @@ def _group_interference(
     return interference
 
 
+def _recover_batch(
+    code: rs.RsCode, known: list[dict[int, np.ndarray]], correct: bool
+) -> np.ndarray:
+    """Messages of words with the same known positions, side by side.
+
+    The words are decoded as one interleaved word, so a liar's positions
+    are located once for all of them.  On DecodingFailure the words are
+    decoded one by one again, so that the error names the failing
+    column within its own word.
+    """
+    stacked = {s: np.concatenate([vals[s] for vals in known]) for s in known[0]}
+    try:
+        return rs.recover_message(code, stacked, correct)
+    except rs.DecodingFailure:
+        for vals in known:
+            rs.recover_message(code, vals, correct)
+        raise
+
+
 def _reconstruct_standard(
     plan: QueryPlan, values: list[np.ndarray | None], correct: bool
 ) -> tuple[dict[int, np.ndarray], RecoveredAtoms]:
     p = plan.params.modulus
     des = plan.params.desired[0]
     b = plan.n_symbols
+    k = plan.params.code_dim
     record = RecoveredAtoms(values={}, flags={})
     interference = _group_interference(plan, values, record, correct)
 
-    rows_value = np.zeros((plan.l_rows, plan.params.code_dim), dtype=np.int64)
+    rows_value = np.zeros((plan.l_rows, k), dtype=np.int64)
+    # Coded desired chunks (all on the small code) batched by known symbols.
+    batches: dict[tuple[int, ...], list[tuple[Chunk, dict[int, np.ndarray]]]] = {}
     # One desired chunk per block the desired file labels, in block order.
     desired_blocks = [blk for blk in plan.blocks if des in blk.atom_start]
     for blk, chunk in zip(desired_blocks, plan.layout.chunks[des]):
@@ -164,12 +186,17 @@ def _reconstruct_standard(
                 rows_value[lo + s] = v
                 record.add(des, chunk.atoms[0] + s, v, FLAG_DIRECT)
             continue
-        message = rs.recover_message(chunk.code, vals, correct)
-        restored = rs.encode(chunk.code, message)
-        for s, flag in enumerate(_flags(vals, restored)):
-            record.add(des, chunk.atoms[0] + s, restored[s], flag)
-        rows_value[lo:hi] = message
-    return {des: mat_mul(plan.mask_inverses[des], rows_value, p)}, record
+        batches.setdefault(tuple(vals), []).append((chunk, vals))
+    for batch in batches.values():
+        code = batch[0][0].code
+        message = _recover_batch(code, [vals for _, vals in batch], correct)
+        restored = rs.encode(code, message)
+        for i, (chunk, vals) in enumerate(batch):
+            columns = slice(i * k, (i + 1) * k)
+            for s, flag in enumerate(_flags(vals, restored[:, columns])):
+                record.add(des, chunk.atoms[0] + s, restored[s, columns], flag)
+            rows_value[slice(*chunk.rows)] = message[:, columns]
+    return {des: _mat_mul_reduced(plan.mask_inverses[des], rows_value, p)}, record
 
 
 def _reconstruct_multifile(
@@ -220,13 +247,14 @@ def _reconstruct_multifile(
                 for f in undesired:
                     acc = (acc - int(h[row, f]) * atom_vals[f][t]) % p
                 rhs[row, s] = acc
-        solved = mat_mul(hd_inv, rhs.reshape(len(desired), b * k), p).reshape(len(desired), b, k)
+        solved = _mat_mul_reduced(hd_inv, rhs.reshape(len(desired), b * k), p)
+        solved = solved.reshape(len(desired), b, k)
         for i, f in enumerate(desired):
             atom_vals[f][lam * b : (lam + 1) * b] = solved[i]
             for s in range(b):
                 record.add(f, lam * b + s, solved[i, s], FLAG_DIRECT)
 
-    files = {f: mat_mul(plan.mask_inverses[f], atom_vals[f], p) for f in desired}
+    files = {f: _mat_mul_reduced(plan.mask_inverses[f], atom_vals[f], p) for f in desired}
     return files, record
 
 

@@ -75,8 +75,16 @@ def as_field(a, p: int) -> np.ndarray:
 
 def mat_mul(a, b, p: int) -> np.ndarray:
     """Exact matrix product ``a @ b`` over GF(p)."""
-    a = as_field(a, p)
-    b = as_field(b, p)
+    return _mat_mul_reduced(as_field(a, p), as_field(b, p), p)
+
+
+def _mat_mul_reduced(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``mat_mul`` of int64 arrays whose entries are already in [0, p).
+
+    Skips the copy and reduction ``mat_mul`` makes of each operand.  The
+    int64 accumulation is exact only for reduced entries, so callers
+    pass only arrays they built in [0, p) themselves.
+    """
     if a.shape[-1] != b.shape[0]:
         raise FieldError(f"shape mismatch for product: {a.shape} @ {b.shape}")
     inner = a.shape[-1]
@@ -107,7 +115,7 @@ def _eliminate(m: np.ndarray, p: int, pivot_cols: int, reduced: bool) -> list[in
     along in the copy.  Wider ones do not: the copy instead records
     every row as a combination of the panel's pivot rows, so one pivot
     touches rows x 2 * _PANEL entries, and the rest of the matrix then
-    takes one exact int64 product (``mat_mul``) per panel.  The rows
+    takes one exact int64 product per panel.  The rows
     below gain their recorded combination of the pivot rows; in reduced
     mode the pivot rows are rebuilt from theirs, and the rows above are
     cleared with the new pivot rows.  The pivot decisions and row
@@ -163,13 +171,13 @@ def _eliminate(m: np.ndarray, p: int, pivot_cols: int, reduced: bool) -> list[in
             trailing = m[r:, c1:][order]
             top = trailing[:k]
             combos = work[:, width : width + k]
-            m[r + k :, c1:] = (trailing[k:] + mat_mul(combos[k:], top, p)) % p
+            m[r + k :, c1:] = (trailing[k:] + _mat_mul_reduced(combos[k:], top, p)) % p
             if reduced:
                 m[r:, c0:c1] = work[:, :width]
-                m[r : r + k, c1:] = mat_mul(combos[:k], top, p)
+                m[r : r + k, c1:] = _mat_mul_reduced(combos[:k], top, p)
         if reduced and r:
             pivot_entries = m[:r, pivots[-k:]]
-            m[:r, c0:] = (m[:r, c0:] - mat_mul(pivot_entries, m[r : r + k, c0:], p)) % p
+            m[:r, c0:] = (m[:r, c0:] - _mat_mul_reduced(pivot_entries, m[r : r + k, c0:], p)) % p
         r += k
     return pivots
 
@@ -266,7 +274,6 @@ class FieldRng:
         self.p = p
         self.seed = seed & _U64
         self.counter = 0
-        self._accept = (1 << 64) - ((1 << 64) % p)
 
     def raw(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words of the stream."""
@@ -280,17 +287,27 @@ class FieldRng:
         z ^= z >> np.uint64(31)
         return z
 
-    def elements(self, n: int) -> np.ndarray:
-        """n uniform field elements as an int64 array."""
+    def _below_many(self, n: int, k: int) -> np.ndarray:
+        """n uniform integers in [0, k): the draws of n calls to ``below(k)``.
+
+        Each batch asks for only as many words as values are still
+        missing, so no word is drawn that the one-at-a-time loop would
+        not draw, and the counter ends where that loop leaves it.
+        """
+        accept = (1 << 64) - ((1 << 64) % k)
         out = np.empty(n, dtype=np.int64)
         filled = 0
         while filled < n:
             r = self.raw(n - filled)
-            keep = r < np.uint64(self._accept)
-            got = int(keep.sum())
-            out[filled : filled + got] = (r[keep] % np.uint64(self.p)).astype(np.int64)
-            filled += got
+            if accept < 1 << 64:
+                r = r[r < np.uint64(accept)]
+            out[filled : filled + len(r)] = (r % np.uint64(k)).astype(np.int64)
+            filled += len(r)
         return out
+
+    def elements(self, n: int) -> np.ndarray:
+        """n uniform field elements as an int64 array."""
+        return self._below_many(n, self.p)
 
     def element(self) -> int:
         return int(self.elements(1)[0])
@@ -311,7 +328,7 @@ class FieldRng:
 
     def nonzero(self, n: int) -> np.ndarray:
         """n uniform nonzero field elements."""
-        return np.array([self.below(self.p - 1) + 1 for _ in range(n)], dtype=np.int64)
+        return self._below_many(n, self.p - 1) + 1
 
     def permutation(self, n: int) -> list[int]:
         """Fisher-Yates shuffle of range(n)."""

@@ -4,8 +4,8 @@ A code is held by the transpose of its generator matrix: the n x k
 Vandermonde matrix on distinct nonzero evaluation points (1..n for
 freshly built codes), so any k rows are invertible and every code is
 MDS.  Codeword "symbols" may themselves be row vectors: all routines
-accept an (n,) vector or an (n, w) matrix whose columns are decoded
-independently.
+accept an (n,) vector or an (n, w) matrix of w words, and every
+result equals decoding the w columns independently.
 
 Decoding surfaces:
 
@@ -13,7 +13,13 @@ Decoding surfaces:
   known positions it either solves the message and verifies the
   surplus positions (erasures only), or, with ``correct=True``,
   punctures the code to the known positions and corrects up to
-  floor((|known| - k) / 2) wrong ones by rational interpolation.
+  floor((|known| - k) / 2) wrong ones.  Errors are located once, by
+  rational interpolation (Gao) on column 0; every other column is then
+  erasure-decoded on the positions column 0 got right, and only a
+  column that this contradicts gets its own Gao run.  Faults that hit
+  the same positions in every column, as a lying server's do, cost
+  one Gao run per call (interleaved decoding in the spirit of
+  Bleichenbacher, Kiayias and Yung, ICALP 2003).
 - :func:`erasure_complete` and :func:`error_correct` re-encode its
   message into the full codeword.
 - :func:`puncture` restricts a code to a subset of positions.
@@ -26,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .gf import as_field, mat_inv, mat_mul
+from .gf import _mat_mul_reduced, as_field, mat_inv
 
 
 class CodingError(Exception):
@@ -99,7 +105,7 @@ def encode(code: RsCode, message) -> np.ndarray:
     message = as_field(message, code.p)
     if message.shape[0] != code.k:
         raise InvalidShape(f"message has {message.shape[0]} rows, expected {code.k}")
-    return mat_mul(code.gen_t, message, code.p)
+    return _mat_mul_reduced(code.gen_t, message, code.p)
 
 
 def puncture(code: RsCode, keep) -> RsCode:
@@ -138,6 +144,21 @@ def _cached_inv(a: np.ndarray, p: int) -> np.ndarray:
     return hit
 
 
+def _solve_known(code: RsCode, positions, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Messages from the first k of ``positions``, and the columns the rest contradict.
+
+    ``rows`` holds the reduced values at ``positions``, one column per
+    word.  Any k rows of the transposed generator are invertible, so the
+    first k positions fix every column's message with one product and
+    the surplus positions check it with another.
+    """
+    p, k = code.p, code.k
+    head, tail = positions[:k], positions[k:]
+    message = _mat_mul_reduced(_cached_inv(code.gen_t[head], p), rows[:k], p)
+    wrong = np.any(_mat_mul_reduced(code.gen_t[tail], message, p) != rows[k:], axis=0)
+    return message, wrong
+
+
 def recover_message(
     code: RsCode, known: Mapping[int, object], correct: bool = False
 ) -> np.ndarray:
@@ -149,7 +170,9 @@ def recover_message(
     verified against it (NotACodeword on a mismatch).  With ``correct``,
     the code is punctured to the known positions and each column is
     decoded to the unique codeword within floor((|known| - k) / 2)
-    errors (DecodingFailure when there is none).  Raises TooFewKnown
+    errors (DecodingFailure when there is none); errors are located on
+    column 0 and the other columns erasure-decoded around them, with the
+    same result as decoding every column on its own.  Raises TooFewKnown
     below k positions.
     """
     positions = sorted(int(i) for i in known)
@@ -164,19 +187,11 @@ def recover_message(
     if vector:
         rows = rows[:, None]
     if correct:
-        sub = puncture(code, positions)
-        message = np.empty((code.k, rows.shape[1]), dtype=np.int64)
-        for j in range(rows.shape[1]):
-            column = _gao_decode_column(sub, rows[:, j])
-            if column is None:
-                raise DecodingFailure(f"no codeword within {sub.max_errors} errors of column {j}")
-            message[:, j] = column
+        message = _correct_columns(puncture(code, positions), rows)
     else:
-        head, tail = positions[: code.k], positions[code.k :]
-        message = mat_mul(_cached_inv(code.gen_t[head], code.p), rows[: code.k], code.p)
-        if tail:
-            if not np.array_equal(mat_mul(code.gen_t[tail], message, code.p), rows[code.k :]):
-                raise NotACodeword("known positions fit no codeword")
+        message, wrong = _solve_known(code, positions, rows)
+        if wrong.any():
+            raise NotACodeword("known positions fit no codeword")
     return message[:, 0] if vector else message
 
 
@@ -285,12 +300,10 @@ def _gao_decode_column(code: RsCode, received: np.ndarray) -> np.ndarray | None:
     """
     p, n, k, radius = code.p, code.n, code.k, code.max_errors
     if radius == 0:
-        try:
-            return recover_message(code, dict(enumerate(received)))
-        except CodingError:
-            return None
+        message, wrong = _solve_known(code, range(n), received[:, None])
+        return None if wrong[0] else message[:, 0]
     g0, basis = _interp_setup(p, code.eval_points)
-    g1 = _poly_trim(mat_mul(basis, received, p))
+    g1 = _poly_trim(_mat_mul_reduced(basis, received, p))
     r_prev, r = g0, g1
     v_prev, v = np.zeros(0, dtype=np.int64), np.array([1], dtype=np.int64)
     while len(r) and 2 * (len(r) - 1) >= n + k:
@@ -304,18 +317,99 @@ def _gao_decode_column(code: RsCode, received: np.ndarray) -> np.ndarray | None:
         return None
     message = np.zeros(k, dtype=np.int64)
     message[: len(f)] = f
-    word = mat_mul(code.gen_t, message, p)
-    if int(np.count_nonzero((word - received) % p)) > radius:
+    word = _mat_mul_reduced(code.gen_t, message, p)
+    if int(np.count_nonzero(word != received)) > radius:
         return None
+    return message
+
+
+def _series_inverse(mu: np.ndarray, k: int, p: int) -> np.ndarray:
+    """First k coefficients of the power series 1 / mu, for mu[0] == 1.
+
+    Newton's iteration nu <- nu * (2 - mu * nu) doubles the number of
+    correct coefficients per step.
+    """
+
+    def head(a: np.ndarray, length: int) -> np.ndarray:
+        out = np.zeros(length, dtype=np.int64)
+        out[: min(len(a), length)] = a[:length]
+        return out
+
+    nu = np.ones(1, dtype=np.int64)
+    while len(nu) < k:
+        prec = min(2 * len(nu), k)
+        step = -head(_poly_mul(head(mu, prec), nu, p), prec) % p
+        step[0] = (step[0] + 2) % p
+        nu = head(_poly_mul(nu, step, p), prec)
+    return nu[:k]
+
+
+def _solve_around(code: RsCode, rows: np.ndarray, erased: np.ndarray) -> np.ndarray:
+    """Messages of the columns of ``rows`` read on the positions outside ``erased``.
+
+    With Lambda the monic polynomial whose roots are the erased points,
+    a column that agrees with the codeword of f outside them has
+    Lambda(x_i) * y_i = (Lambda * f)(x_i) at every point, and Lambda * f
+    has degree below n (len(erased) <= n - k).  So one product with the
+    interpolation basis Gao already uses gives the coefficients of Lambda
+    and of every Lambda * f at once, and f is Lambda * f divided by
+    Lambda: an upper-triangular Toeplitz system, solved by the power
+    series inverse of reversed Lambda.  Columns that agree with no
+    codeword outside ``erased`` come back with some message; the caller
+    checks.
+    """
+    p, k, points = code.p, code.k, code.eval_points
+    e = len(erased)
+    locator_values = np.ones(code.n, dtype=np.int64)
+    for i in erased:
+        locator_values = locator_values * (points - points[i]) % p
+    _, basis = _interp_setup(p, points)
+    weighted = np.column_stack([locator_values, locator_values[:, None] * rows % p])
+    coeffs = _mat_mul_reduced(basis, weighted, p)
+    # Coefficient e + i of Lambda * f is f_i plus sum_s Lambda_{e-s} f_{i+s}.
+    nu = _series_inverse(coeffs[e::-1, 0], k, p)
+    offset = np.arange(k)[None, :] - np.arange(k)[:, None]
+    solve = np.where(offset >= 0, nu[np.maximum(offset, 0)], 0)
+    return _mat_mul_reduced(solve, coeffs[e : e + k, 1:], p)
+
+
+def _correct_columns(code: RsCode, rows: np.ndarray) -> np.ndarray:
+    """Message of every column of ``rows`` within ``code.max_errors`` errors.
+
+    Gao decodes column 0, and its error support E is where its codeword
+    and the column differ.  Every column is then erasure-decoded on the
+    positions outside E.  A column that matches its solution on all of
+    them differs from that codeword only inside E, and |E| <= max_errors,
+    so the solution is the unique codeword within the radius: the one
+    Gao would return.  Columns that do not match fall back to their own
+    Gao run in column order, so the first column Gao refuses is the one
+    that decoding every column in turn would name.
+    """
+
+    def gao(j: int) -> np.ndarray:
+        column = _gao_decode_column(code, rows[:, j])
+        if column is None:
+            raise DecodingFailure(f"no codeword within {code.max_errors} errors of column {j}")
+        return column
+
+    if rows.shape[1] == 0:
+        return np.zeros((code.k, 0), dtype=np.int64)
+    located = _mat_mul_reduced(code.gen_t, gao(0), code.p) != rows[:, 0]
+    message = _solve_around(code, rows, np.flatnonzero(located))
+    mismatch = _mat_mul_reduced(code.gen_t, message, code.p) != rows
+    for j in np.flatnonzero(np.any(mismatch[~located], axis=0)):
+        message[:, j] = gao(int(j))
     return message
 
 
 def error_correct(code: RsCode, received) -> np.ndarray:
     """Unique codeword within floor((n - k) / 2) of ``received``.
 
-    Columns of a matrix input are decoded independently (errors in a row
-    vector may hit any subset of its coordinates).  Raises
-    DecodingFailure when no codeword lies within the radius.
+    Each column of a matrix input comes back as decoding it on its own
+    would return it (errors in a row vector may hit any subset of its
+    coordinates).  The errors are located on column 0; a column whose
+    errors lie elsewhere costs one more rational interpolation.  Raises
+    DecodingFailure when some column has no codeword within the radius.
     """
     cols, vector = _as_columns(code, received)
     if cols.shape[0] != code.n:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import rs
-from .gf import DEFAULT_MODULUS, FieldRng, as_field, derive_seed, mat_mul
+from .gf import DEFAULT_MODULUS, FieldRng, _mat_mul_reduced, as_field, derive_seed, mat_mul
 from .plans import QueryPlan
 
 DATABASE_STREAM = 2
@@ -192,7 +192,7 @@ def run_session(
         qids = plan.server_queries[n]
         if qids:
             qmat = np.stack([plan.queries[q].vector for q in qids])
-            answers = mat_mul(qmat, servers[n].contents, p)
+            answers = _mat_mul_reduced(qmat, servers[n].contents, p)
         else:
             answers = np.zeros(0, dtype=np.int64)
         if n in adversary.byzantine_set:

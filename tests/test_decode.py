@@ -5,7 +5,7 @@ import pytest
 
 import coded_pir as cp
 import oracles
-from coded_pir import gf
+from coded_pir import decode, gf, rs
 from conftest import (
     byzantine_params,
     multifile_params,
@@ -246,3 +246,40 @@ def test_pattern_with_unqueried_server():
         for servers in combinations(range(4), size):
             ranks = cp.collusion_view_ranks(plan, servers).per_file_rank
             assert ranks == oracles.dense_view_ranks(plan, servers), servers
+
+
+# --- interleaved error location ---------------------------------------------------
+
+
+@pytest.mark.parametrize("liars, gao_columns", [((3,), 2), ((0, 5), 1)])
+def test_byzantine_decode_locates_errors_once_per_code(byz_plan, monkeypatch, liars, gao_columns):
+    # One liar: Gao runs on column 0 of the big code and of the batched
+    # small-code chunks, once each; two liars already fail on the big code.
+    db = cp.database_for_plan(byz_plan, seed=17)
+    tr = cp.run_session(byz_plan, db, adversary=cp.Adversary(byzantine_set=liars, seed=1))
+    calls = []
+    gao = rs._gao_decode_column
+
+    def counted(code, word):
+        calls.append(code.n)
+        return gao(code, word)
+
+    monkeypatch.setattr(rs, "_gao_decode_column", counted)
+    if len(liars) == 1:
+        assert np.array_equal(cp.reconstruct(byz_plan, tr)[0], db.files[0])
+    else:
+        with pytest.raises(cp.DecodingFailure):
+            cp.reconstruct(byz_plan, tr)
+    assert len(calls) == gao_columns
+    assert len(set(calls)) == gao_columns  # one column per code
+
+
+def test_batched_chunks_name_the_failing_column_within_its_chunk():
+    code = rs.rs_transposed_generator(7, 3, 13)
+    good = rs.encode(code, np.array([[1, 2], [3, 4], [5, 6]]))
+    bad = good.copy()
+    bad[[0, 2, 4, 6], 1] = (bad[[0, 2, 4, 6], 1] + 1) % 13  # 4 errors, radius 2
+    assert oracles.bw_decode_column(code, bad[:, 1]) is None
+    chunks = [{i: good[i] for i in range(7)}, {i: bad[i] for i in range(7)}]
+    with pytest.raises(rs.DecodingFailure, match="of column 1$"):
+        decode._recover_batch(code, chunks, correct=True)

@@ -227,6 +227,38 @@ def test_mat_mul_chunked_large_modulus():
     assert gf.mat_mul(a, b, p).tolist() == want
 
 
+def _int_product(a, b, p):
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    return [[sum(int(x) * int(y[j]) for x, y in zip(row, b)) % p for j in range(len(b[0]))]
+            for row in a]
+
+
+def test_reduced_product_equals_mat_mul_on_reduced_inputs():
+    # At p=3037000493 only one addend fits in int64, so every inner
+    # dimension above 1 takes the chunked accumulation path.
+    rng = np.random.default_rng(11)
+    for p in DIFFERENTIAL_MODULI:
+        for rows, inner, cols in [(1, 1, 1), (3, 7, 2), (5, 33, 4), (4, 65, 1)]:
+            a = rng.integers(0, p, (rows, inner)).astype(np.int64)
+            b = rng.integers(0, p, (inner, cols)).astype(np.int64)
+            got = gf._mat_mul_reduced(a, b, p)
+            assert np.array_equal(got, gf.mat_mul(a, b, p)), (p, rows, inner, cols)
+            assert got.tolist() == _int_product(a, b, p), (p, rows, inner, cols)
+            vec = gf._mat_mul_reduced(a, b[:, 0], p)
+            assert np.array_equal(vec, gf.mat_mul(a, b[:, 0], p)), (p, rows, inner)
+
+
+def test_mat_mul_reduces_negative_and_unreduced_inputs():
+    rng = np.random.default_rng(12)
+    for p in DIFFERENTIAL_MODULI:
+        bound = min(4 * p, 2**62)
+        a = rng.integers(-bound, bound, (3, 9)).astype(np.int64)
+        b = rng.integers(-bound, bound, (9, 2)).astype(np.int64)
+        want = _int_product([[x % p for x in row] for row in a.tolist()],
+                            [[x % p for x in row] for row in b.tolist()], p)
+        assert gf.mat_mul(a, b, p).tolist() == want, p
+
+
 # --- deterministic randomness ---------------------------------------------
 
 
@@ -258,6 +290,27 @@ def test_rng_below_and_nonzero():
     rng = gf.FieldRng(11, 13)
     assert all(0 <= rng.below(6) < 6 for _ in range(200))
     assert all(1 <= v < 13 for v in rng.nonzero(200))
+
+
+@pytest.mark.parametrize("p", DIFFERENTIAL_MODULI)
+def test_rng_batched_draws_match_scalar_below(p):
+    for seed in (0, 5, 2**64 - 1):
+        for n in (0, 1, 7, 300):
+            batched, scalar = gf.FieldRng(seed, p), gf.FieldRng(seed, p)
+            assert batched.elements(n).tolist() == [scalar.below(p) for _ in range(n)]
+            assert batched.counter == scalar.counter
+            assert batched.nonzero(n).tolist() == [scalar.below(p - 1) + 1 for _ in range(n)]
+            assert batched.counter == scalar.counter
+
+
+def test_rng_batched_rejection_matches_scalar_below():
+    # Near 2**62 a quarter of the raw words fall in the rejected range,
+    # so the batched loop has to refill several times.
+    bound = 2**62 + 1
+    batched, scalar = gf.FieldRng(3, 65537), gf.FieldRng(3, 65537)
+    got = batched._below_many(500, bound).tolist()
+    assert got == [scalar.below(bound) for _ in range(500)]
+    assert batched.counter == scalar.counter > 600
 
 
 def test_permutation_is_a_permutation():

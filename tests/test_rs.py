@@ -2,6 +2,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from coded_pir import gf, rs
@@ -242,6 +244,77 @@ def test_roundtrip_random_messages_and_error_patterns():
                 for i in where:
                     hit[i] = (hit[i] + int(rng.integers(1, p))) % p
                 assert np.array_equal(rs.error_correct(code, hit), word)
+
+
+# --- interleaved decoding against per-column Berlekamp-Welch ---------------------
+
+
+def _support(rng, size, weight):
+    return rng.choice(size, size=weight, replace=False)
+
+
+@st.composite
+def _interleaved_words(draw):
+    """A code, known positions and received columns under one error pattern.
+
+    ``shared``: every column is wrong on one support within the radius;
+    ``independent``: each column has its own; ``clean-first``: column 0
+    is a codeword and the others are not; ``past-radius``: a shared
+    support plus one column wrong beyond the radius.
+    """
+    p = draw(st.sampled_from([17, 257, 65537, 3037000493]))
+    k = draw(st.integers(1, 6))
+    m = k + draw(st.integers(0, 9))
+    n = m + draw(st.integers(0, 16 - m))
+    code = rs.rs_transposed_generator(n, k, p)
+    known = sorted(draw(st.permutations(range(n)))[:m])
+    kind = draw(st.sampled_from(["shared", "independent", "clean-first", "past-radius"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = int(rng.integers(1, 5))
+    radius = (m - k) // 2
+    rows = rs.encode(code, rng.integers(0, p, (k, width)))[known]
+    shared = _support(rng, m, int(rng.integers(min(1, radius), radius + 1)))
+    for j in range(width):
+        if kind in ("shared", "past-radius"):
+            where = shared
+        elif kind == "clean-first" and j == 0:
+            where = []
+        else:
+            where = _support(rng, m, int(rng.integers(0, radius + 1)))
+        rows[where, j] = (rows[where, j] + rng.integers(1, p, len(where))) % p
+    if kind == "past-radius" and width and radius < m:
+        j = int(rng.integers(0, width))
+        where = _support(rng, m, int(rng.integers(radius + 1, m + 1)))
+        rows[where, j] = (rows[where, j] + rng.integers(1, p, len(where))) % p
+    return code, known, rows
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=_interleaved_words())
+def test_interleaved_decoding_matches_per_column_reference(case):
+    code, known, rows = case
+    sub = rs.puncture(code, known)
+    words = [oracles.bw_decode_column(sub, rows[:, j]) for j in range(rows.shape[1])]
+    failed = [j for j, word in enumerate(words) if word is None]
+    received = {pos: rows[i] for i, pos in enumerate(known)}
+    if failed:
+        with pytest.raises(rs.DecodingFailure, match=f"of column {failed[0]}$"):
+            rs.recover_message(code, received, correct=True)
+    else:
+        message = rs.recover_message(code, received, correct=True)
+        assert message.shape == (code.k, rows.shape[1])
+        assert np.array_equal(rs.encode(sub, message), np.stack(words, axis=1))
+
+
+def test_interleaved_decoding_zero_width_and_single_column():
+    code = rs.rs_transposed_generator(9, 3, 13)
+    empty = {i: np.zeros(0, dtype=np.int64) for i in range(9)}
+    assert rs.recover_message(code, empty, correct=True).shape == (3, 0)
+    assert rs.error_correct(code, np.zeros((9, 0), dtype=np.int64)).shape == (9, 0)
+    msg = np.array([[5], [0], [11]], dtype=np.int64)
+    hit = rs.encode(code, msg)
+    hit[[2, 7], 0] = (hit[[2, 7], 0] + [4, 9]) % 13
+    assert np.array_equal(rs.recover_message(code, dict(enumerate(hit)), correct=True), msg)
 
 
 # --- puncturing ---------------------------------------------------------------
