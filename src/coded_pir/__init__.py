@@ -11,7 +11,6 @@ from .decode import (
     DecodingFailure,
     MissingResponses,
     RecoveredAtoms,
-    SingularSystem,
     reconstruct,
     recovered_atoms,
 )

@@ -1,27 +1,33 @@
 """User-side decoding of retrieval sessions.
 
 Decoding follows a fixed order: (1) solve every shared query from the K
-responses of its symbol's servers; (2) per group, rebuild the
+responses of its symbol's servers, all symbols in one batched product
+with the plan's per-symbol inverses; (2) per group, rebuild the
 interference codeword from the pure blocks (completing erasures or
 correcting errors as the variant demands); (3) subtract interference
 from mixed blocks; (4) per chunk of the desired file, recover the mask
 rows behind its atoms; (5) invert the desired files' masks.  Groups,
-blocks and chunks are read from the plan's layout.  Wherever more
-values are available than needed, consistency is verified and any
-mismatch surfaces as DecodingFailure.
+blocks and chunks are read from the plan's layout, and every inverse or
+interpolation basis these steps use is built once per plan, on the plan
+or on its layout's codes.  Wherever more values are available than
+needed, consistency is verified and any mismatch surfaces as
+DecodingFailure.
+
+:func:`reconstruct` runs the steps alone; :func:`recovered_atoms` runs
+the same steps and records every atom value they produce, with its
+provenance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from . import rs
-from .gf import NoSolution, _mat_mul_reduced, mat_inv, mat_mul
+from .gf import NoSolution, _mat_mul_reduced
 from .plans import Chunk, QueryPlan, Variant
-from .storage import StorageCode, Transcript, rs_storage_code
+from .storage import Transcript
 
 
 class DecodeError(Exception):
@@ -33,10 +39,6 @@ class DecodingFailure(DecodeError):
 
 
 class MissingResponses(DecodeError):
-    pass
-
-
-class SingularSystem(DecodeError):
     pass
 
 
@@ -64,49 +66,45 @@ class RecoveredAtoms:
         self.values.setdefault(f, {})[atom] = value
         self.flags.setdefault(f, {})[atom] = flag
 
+    def add_word(self, f: int, first: int, word: np.ndarray, known: dict[int, np.ndarray]) -> None:
+        """Add a decoded word's rows as atoms first, first + 1, ... of file f, flagged."""
+        for t, row in enumerate(word):
+            if t not in known:
+                flag = FLAG_ERASURE
+            else:
+                flag = FLAG_ERROR if np.any(row != known[t]) else FLAG_DIRECT
+            self.add(f, first + t, row, flag)
 
-def _query_values(
-    plan: QueryPlan, transcript: Transcript, code: StorageCode
-) -> list[np.ndarray | None]:
-    """Value of every shared query, batched per symbol; None = unretrievable."""
-    p = plan.params.modulus
-    absent = {n for n, r in enumerate(transcript.responses) if r is None}
-    position = [
-        {qid: i for i, qid in enumerate(qids)} for qids in plan.server_queries
-    ]
-    n_blocks = len(plan.blocks)
-    values: list[np.ndarray | None] = [None] * len(plan.queries)
-    for s, subset in enumerate(plan.array.symbols):
-        if absent & set(subset):
-            continue
-        try:
-            inv = mat_inv(code.gen[:, list(subset)].T, p)
-        except NoSolution as exc:
-            raise SingularSystem(f"storage code is not MDS on columns {subset}") from exc
-        qids = [blk * plan.n_symbols + s for blk in range(n_blocks)]
-        resp = np.empty((len(subset), n_blocks), dtype=np.int64)
-        for i, n in enumerate(subset):
-            resp[i] = [transcript.responses[n][position[n][q]] for q in qids]
-        solved = mat_mul(inv, resp, p)
-        for j, qid in enumerate(qids):
-            values[qid] = solved[:, j]
+
+def _query_values(plan: QueryPlan, transcript: Transcript) -> list[np.ndarray | None]:
+    """Value of every shared query, all symbols in one product; None = unretrievable."""
+    p, b, k = plan.params.modulus, plan.n_symbols, plan.params.code_dim
+    symbols = plan.array.symbols
+    # slot[s, n]: where server n sits in the subset of symbol s.
+    slot = np.zeros((b, plan.params.n_servers), dtype=np.int64)
+    for s, subset in enumerate(symbols):
+        slot[s, list(subset)] = range(len(subset))
+    # resp[q, i]: the response of the i-th server of its symbol to query q.
+    resp = np.zeros((len(plan.queries), k), dtype=np.int64)
+    for n, answers in enumerate(transcript.responses):
+        if answers is not None and len(answers):
+            qids = np.asarray(plan.server_queries[n])
+            resp[qids, slot[qids % b, n]] = answers
+    resp %= p
+    answered = [all(transcript.responses[n] is not None for n in subset) for subset in symbols]
+    present = np.flatnonzero(answered)
+    by_symbol = resp.reshape(-1, b, k)[:, present].transpose(1, 2, 0)
+    solved = _mat_mul_reduced(plan.symbol_inverses[present], by_symbol, p)
+    table = np.zeros((len(plan.blocks), b, k), dtype=np.int64)
+    table[:, present] = solved.transpose(2, 0, 1)
+    values: list[np.ndarray | None] = list(table.reshape(-1, k))
+    for s in np.flatnonzero(np.logical_not(answered)):
+        values[s::b] = [None] * len(plan.blocks)
     return values
 
 
-def _flags(known: Mapping[int, np.ndarray], word: np.ndarray) -> list[str]:
-    """Provenance of every position of a word decoded from the known ones."""
-    flags = [FLAG_ERASURE] * len(word)
-    positions = list(known)
-    if positions:
-        read = np.stack([known[t] for t in positions])
-        changed = np.any(word[positions] != read, axis=1).tolist()
-        for t, c in zip(positions, changed):
-            flags[t] = FLAG_ERROR if c else FLAG_DIRECT
-    return flags
-
-
 def _group_interference(
-    plan: QueryPlan, values: list[np.ndarray | None], record: RecoveredAtoms, correct: bool
+    plan: QueryPlan, values: list[np.ndarray | None], correct: bool, record: RecoveredAtoms | None
 ) -> dict[int, np.ndarray]:
     """Interference value of every mixed-block query, group by group.
 
@@ -116,92 +114,92 @@ def _group_interference(
     undesired file yield that file's atoms individually and are recorded.
     """
     b = plan.n_symbols
-    ab = plan.ab
-    interference: dict[int, np.ndarray] = {}
+    knowns: list[dict[int, np.ndarray]] = []
     for group in plan.groups:
         known: dict[int, np.ndarray] = {}
         for i, blk_id in enumerate(group.pure_blocks):
             for s in range(b):
-                v = values[blk_id * b + s]
-                if v is not None:
-                    known[ab.beta * b + i * b + s] = v
-        full = rs.encode(plan.big_code, rs.recover_message(plan.big_code, known, correct))
+                if (v := values[blk_id * b + s]) is not None:
+                    known[plan.ab.beta * b + i * b + s] = v
+        knowns.append(known)
+    interference: dict[int, np.ndarray] = {}
+    messages = _recover_batch(plan.big_code, knowns, correct)
+    for group, known, message in zip(plan.groups, knowns, messages):
+        full = rs.encode(plan.big_code, message)
         for j, blk_id in enumerate(group.mixed_blocks):
             for s in range(b):
                 interference[blk_id * b + s] = full[j * b + s]
-        if len(group.base_label) == 1:
+        if record is not None and len(group.base_label) == 1:
             ((f, chunk),) = group.chunks.items()
-            for t, flag in enumerate(_flags(known, full)):
-                record.add(f, chunk.atoms[0] + t, full[t], flag)
+            record.add_word(f, chunk.atoms[0], full, known)
     return interference
 
 
 def _recover_batch(
-    code: rs.RsCode, known: list[dict[int, np.ndarray]], correct: bool
-) -> np.ndarray:
-    """Messages of words with the same known positions, side by side.
+    code: rs.RsCode, words: list[dict[int, np.ndarray]], correct: bool
+) -> list[np.ndarray]:
+    """Message of every word, each given by its known positions.
 
-    The words are decoded as one interleaved word, so a liar's positions
-    are located once for all of them.  On DecodingFailure the words are
-    decoded one by one again, so that the error names the failing
-    column within its own word.
+    Words with the same known positions are decoded side by side as one
+    interleaved word, so a liar's positions are located once for all of
+    them.  On DecodingFailure such words are decoded one by one again,
+    so that the error names the failing column within its own word.
     """
-    stacked = {s: np.concatenate([vals[s] for vals in known]) for s in known[0]}
-    try:
-        return rs.recover_message(code, stacked, correct)
-    except rs.DecodingFailure:
-        for vals in known:
-            rs.recover_message(code, vals, correct)
-        raise
+    batches: dict[tuple[int, ...], list[int]] = {}
+    for i, known in enumerate(words):
+        batches.setdefault(tuple(known), []).append(i)
+    messages: list[np.ndarray] = [np.empty(0)] * len(words)
+    for batch in batches.values():
+        stacked = {s: np.concatenate([words[i][s] for i in batch]) for s in words[batch[0]]}
+        try:
+            message = rs.recover_message(code, stacked, correct)
+        except rs.DecodingFailure:
+            if len(batch) > 1:
+                for i in batch:
+                    rs.recover_message(code, words[i], correct)
+            raise
+        for i, part in zip(batch, np.split(message, len(batch), axis=1)):
+            messages[i] = part
+    return messages
 
 
 def _reconstruct_standard(
-    plan: QueryPlan, values: list[np.ndarray | None], correct: bool
-) -> tuple[dict[int, np.ndarray], RecoveredAtoms]:
+    plan: QueryPlan, values: list[np.ndarray | None], correct: bool, record: RecoveredAtoms | None
+) -> dict[int, np.ndarray]:
     p = plan.params.modulus
     des = plan.params.desired[0]
     b = plan.n_symbols
-    k = plan.params.code_dim
-    record = RecoveredAtoms(values={}, flags={})
-    interference = _group_interference(plan, values, record, correct)
+    interference = _group_interference(plan, values, correct, record)
 
-    rows_value = np.zeros((plan.l_rows, k), dtype=np.int64)
-    # Coded desired chunks (all on the small code) batched by known symbols.
-    batches: dict[tuple[int, ...], list[tuple[Chunk, dict[int, np.ndarray]]]] = {}
+    rows_value = np.zeros((plan.l_rows, plan.params.code_dim), dtype=np.int64)
+    coded: list[tuple[Chunk, dict[int, np.ndarray]]] = []  # all on one code
     # One desired chunk per block the desired file labels, in block order.
     desired_blocks = [blk for blk in plan.blocks if des in blk.atom_start]
     for blk, chunk in zip(desired_blocks, plan.layout.chunks[des]):
         vals: dict[int, np.ndarray] = {}
         for s in range(b):
             qid = blk.index * b + s
-            v = values[qid]
-            if v is None:
-                continue
-            if len(blk.label) > 1:
-                v = (v - interference[qid]) % p
-            vals[s] = v
-        lo, hi = chunk.rows
-        if chunk.code is None:  # the atoms are the mask rows themselves
-            for s, v in vals.items():
-                rows_value[lo + s] = v
-                record.add(des, chunk.atoms[0] + s, v, FLAG_DIRECT)
+            if (v := values[qid]) is not None:
+                vals[s] = v if len(blk.label) == 1 else (v - interference[qid]) % p
+        if chunk.code is not None:
+            coded.append((chunk, vals))
             continue
-        batches.setdefault(tuple(vals), []).append((chunk, vals))
-    for batch in batches.values():
-        code = batch[0][0].code
-        message = _recover_batch(code, [vals for _, vals in batch], correct)
-        restored = rs.encode(code, message)
-        for i, (chunk, vals) in enumerate(batch):
-            columns = slice(i * k, (i + 1) * k)
-            for s, flag in enumerate(_flags(vals, restored[:, columns])):
-                record.add(des, chunk.atoms[0] + s, restored[s, columns], flag)
-            rows_value[slice(*chunk.rows)] = message[:, columns]
-    return {des: _mat_mul_reduced(plan.mask_inverses[des], rows_value, p)}, record
+        for s, v in vals.items():  # the atoms are the mask rows themselves
+            rows_value[chunk.rows[0] + s] = v
+            if record is not None:
+                record.add(des, chunk.atoms[0] + s, v, FLAG_DIRECT)
+    if coded:
+        code = coded[0][0].code
+        for (chunk, vals), message in zip(coded, _recover_batch(code, [v for _, v in coded], correct)):
+            rows_value[slice(*chunk.rows)] = message
+            if record is not None:
+                record.add_word(des, chunk.atoms[0], rs.encode(code, message), vals)
+    return {des: _mat_mul_reduced(plan.mask_inverses[des], rows_value, p)}
 
 
 def _reconstruct_multifile(
-    plan: QueryPlan, values: list[np.ndarray | None], correct: bool
-) -> tuple[dict[int, np.ndarray], RecoveredAtoms]:
+    plan: QueryPlan, values: list[np.ndarray | None], correct: bool, record: RecoveredAtoms | None
+) -> dict[int, np.ndarray]:
     p = plan.params.modulus
     b = plan.n_symbols
     ab = plan.ab
@@ -209,7 +207,6 @@ def _reconstruct_multifile(
     desired = list(plan.params.desired)
     undesired = [f for f in range(plan.params.n_files) if f not in plan.params.desired]
     assert plan.mix_matrix is not None
-    record = RecoveredAtoms(values={}, flags={})
 
     atom_vals = {f: np.zeros((plan.l_rows, k), dtype=np.int64) for f in range(plan.params.n_files)}
     sigma: dict[tuple[int, int], int] = {}
@@ -220,7 +217,8 @@ def _reconstruct_multifile(
         ((f, start),) = blk.atom_start.items()
         for s in range(b):
             atom_vals[f][start + s] = values[blk.index * b + s]
-            record.add(f, start + s, values[blk.index * b + s], FLAG_DIRECT)
+            if record is not None:
+                record.add(f, start + s, values[blk.index * b + s], FLAG_DIRECT)
 
     # Undesired files ride the big code: singleton positions determine the rest.
     shared = ab.beta * b
@@ -229,12 +227,12 @@ def _reconstruct_multifile(
         known = {t: atom_vals[f][t] for t in range(shared, chunk.atoms[1])}
         full = rs.encode(chunk.code, rs.recover_message(chunk.code, known, correct))
         atom_vals[f][:shared] = full[:shared]
-        for t, flag in enumerate(_flags(known, full)[:shared]):
-            record.add(f, t, full[t], flag)
+        if record is not None:
+            record.add_word(f, 0, full[:shared], known)
 
     h = plan.mix_matrix
     try:
-        hd_inv = mat_inv(h[:, desired], p)
+        hd_inv = plan.mix_inverse
     except NoSolution as exc:
         raise DecodingFailure("mixing matrix is singular on the desired columns") from exc
     for lam in range(ab.beta):
@@ -251,41 +249,35 @@ def _reconstruct_multifile(
         solved = solved.reshape(len(desired), b, k)
         for i, f in enumerate(desired):
             atom_vals[f][lam * b : (lam + 1) * b] = solved[i]
-            for s in range(b):
-                record.add(f, lam * b + s, solved[i, s], FLAG_DIRECT)
+            if record is not None:
+                for s in range(b):
+                    record.add(f, lam * b + s, solved[i, s], FLAG_DIRECT)
 
-    files = {f: _mat_mul_reduced(plan.mask_inverses[f], atom_vals[f], p) for f in desired}
-    return files, record
+    return {f: _mat_mul_reduced(plan.mask_inverses[f], atom_vals[f], p) for f in desired}
 
 
 def _run_pipeline(
-    plan: QueryPlan, transcript: Transcript, code: StorageCode | None
-) -> tuple[dict[int, np.ndarray], RecoveredAtoms]:
+    plan: QueryPlan, transcript: Transcript, record: RecoveredAtoms | None
+) -> dict[int, np.ndarray]:
     params = plan.params
-    if code is None:
-        code = rs_storage_code(params.n_servers, params.code_dim, params.modulus)
     absent = [n for n, r in enumerate(transcript.responses) if r is None]
     if absent and params.variant is not Variant.ROBUST:
         raise MissingResponses(
             f"servers {absent} are absent; only the robust variant tolerates erasures"
         )
-    values = _query_values(plan, transcript, code)
+    values = _query_values(plan, transcript)
     # Only Byzantine plans reserve redundancy for correcting errors; the
     # others spend it on erasures or on detecting wrong responses.
     correct = params.variant is Variant.BYZANTINE
     try:
         if params.variant is Variant.MULTI_FILE:
-            return _reconstruct_multifile(plan, values, correct)
-        return _reconstruct_standard(plan, values, correct)
-    except rs.CodingError as exc:
-        raise DecodingFailure(str(exc)) from exc
-    except NoSolution as exc:
+            return _reconstruct_multifile(plan, values, correct, record)
+        return _reconstruct_standard(plan, values, correct, record)
+    except (rs.CodingError, NoSolution) as exc:
         raise DecodingFailure(str(exc)) from exc
 
 
-def reconstruct(
-    plan: QueryPlan, transcript: Transcript, code: StorageCode | None = None
-) -> dict[int, np.ndarray]:
+def reconstruct(plan: QueryPlan, transcript: Transcript) -> dict[int, np.ndarray]:
     """Recover the desired file(s) exactly, or raise a decode error.
 
     The adversary must respect the plan's bounds: at most S absent
@@ -294,13 +286,11 @@ def reconstruct(
     bounds surface as DecodingFailure rather than silent corruption
     wherever redundancy allows detection.
     """
-    files, _ = _run_pipeline(plan, transcript, code)
-    return files
+    return _run_pipeline(plan, transcript, None)
 
 
-def recovered_atoms(
-    plan: QueryPlan, transcript: Transcript, code: StorageCode | None = None
-) -> RecoveredAtoms:
+def recovered_atoms(plan: QueryPlan, transcript: Transcript) -> RecoveredAtoms:
     """Decode a session and report every atom value with its provenance."""
-    _, record = _run_pipeline(plan, transcript, code)
+    record = RecoveredAtoms(values={}, flags={})
+    _run_pipeline(plan, transcript, record)
     return record

@@ -83,18 +83,21 @@ def _mat_mul_reduced(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
     Skips the copy and reduction ``mat_mul`` makes of each operand.  The
     int64 accumulation is exact only for reduced entries, so callers
-    pass only arrays they built in [0, p) themselves.
+    pass only arrays they built in [0, p) themselves.  Stacks of
+    matrices multiply slice by slice, as with ``@``.
     """
-    if a.shape[-1] != b.shape[0]:
-        raise FieldError(f"shape mismatch for product: {a.shape} @ {b.shape}")
+    axis = 0 if b.ndim == 1 else b.ndim - 2  # the contracted axis of b
     inner = a.shape[-1]
+    if inner != b.shape[axis]:
+        raise FieldError(f"shape mismatch for product: {a.shape} @ {b.shape}")
     # Number of addends whose partial sum is guaranteed to fit in int64.
     step = max(1, (2**63 - 1) // max(1, (p - 1) ** 2))
     if inner <= step:
         return (a @ b) % p
-    acc = (a[..., :step] @ b[:step]) % p
-    for i in range(step, inner, step):
-        acc = (acc + a[..., i : i + step] @ b[i : i + step]) % p
+    acc = 0
+    for i in range(0, inner, step):
+        rows = (slice(None),) * axis + (slice(i, i + step),)
+        acc = (acc + a[..., i : i + step] @ b[rows]) % p
     return acc
 
 

@@ -295,6 +295,7 @@ class Layout:
     array: AssistingArray
     big_code: rs.RsCode
     small_code: rs.RsCode | None
+    storage_code: rs.RsCode  # server n stores every file row times gen_t row n
     chunks: tuple[tuple[Chunk, ...], ...]
     blocks: tuple[Block, ...]
     groups: tuple[Group, ...]
@@ -358,6 +359,18 @@ class QueryPlan:
         """Inverses of the desired files' masks, computed once per plan."""
         return {f: mat_inv(self.masks[f], self.params.modulus) for f in self.params.desired}
 
+    @cached_property
+    def mix_inverse(self) -> np.ndarray:
+        """Inverse of the mixing matrix on the desired columns (NoSolution if singular)."""
+        assert self.mix_matrix is not None
+        return mat_inv(self.mix_matrix[:, list(self.params.desired)], self.params.modulus)
+
+    @cached_property
+    def symbol_inverses(self) -> np.ndarray:
+        """Per symbol, the inverse of its K servers' storage code rows: their Lagrange basis."""
+        points = self.layout.storage_code.eval_points[np.array(self.array.symbols)]
+        return rs._interp_setup(self.params.modulus, points)[1]
+
     def visible_symbols(self, servers) -> list[int]:
         """Symbols whose subsets intersect the given server set."""
         view = set(servers)
@@ -410,6 +423,7 @@ def derive_layout(params: SchemeParams) -> Layout:
             )
         big_code = rs.rs_transposed_generator(ab.total * b, ab.alpha * x, params.modulus)
         small_code = rs.rs_transposed_generator(b, x, params.modulus) if needs_small else None
+        storage_code = rs.rs_transposed_generator(n, params.code_dim, params.modulus)
     except InfeasibleRatio as exc:
         raise PreconditionViolated(str(exc)) from exc
     except rs.InvalidShape as exc:
@@ -424,6 +438,7 @@ def derive_layout(params: SchemeParams) -> Layout:
         array=build_assisting_array(n, family),
         big_code=big_code,
         small_code=small_code,
+        storage_code=storage_code,
         chunks=tuple(tuple(c) for c in chunks),
         blocks=tuple(blocks),
         groups=tuple(groups),

@@ -10,9 +10,9 @@ result equals decoding the w columns independently.
 Decoding surfaces:
 
 - :func:`recover_message` is the one message decoder.  From any >= k
-  known positions it either solves the message and verifies the
-  surplus positions (erasures only), or, with ``correct=True``,
-  punctures the code to the known positions and corrects up to
+  known positions it solves the message around the erased ones with
+  the code's own interpolation basis, and either verifies the surplus
+  positions (erasures only) or, with ``correct=True``, corrects up to
   floor((|known| - k) / 2) wrong ones.  Errors are located once, by
   rational interpolation (Gao) on column 0; every other column is then
   erasure-decoded on the positions column 0 got right, and only a
@@ -28,11 +28,13 @@ Decoding surfaces:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from math import isqrt
 from typing import Mapping
 
 import numpy as np
 
-from .gf import _mat_mul_reduced, as_field, mat_inv
+from .gf import _mat_mul_reduced, as_field
 
 
 class CodingError(Exception):
@@ -77,6 +79,11 @@ class RsCode:
     @property
     def min_distance(self) -> int:
         return self.n - self.k + 1
+
+    @cached_property
+    def interpolation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(g0, basis) of the evaluation points, built once per code on first use."""
+        return _interp_setup(self.p, self.eval_points)
 
 
 def _vandermonde(points: np.ndarray, width: int, p: int) -> np.ndarray:
@@ -129,50 +136,17 @@ def _as_columns(code: RsCode, values) -> tuple[np.ndarray, bool]:
     return v, False
 
 
-_INV_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _cached_inv(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix, memoized by content (bounded cache)."""
-    key = (p, a.shape[0], a.tobytes())
-    hit = _INV_CACHE.get(key)
-    if hit is None:
-        hit = mat_inv(a, p)
-        if len(_INV_CACHE) >= 256:
-            _INV_CACHE.pop(next(iter(_INV_CACHE)))
-        _INV_CACHE[key] = hit
-    return hit
-
-
-def _solve_known(code: RsCode, positions, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Messages from the first k of ``positions``, and the columns the rest contradict.
-
-    ``rows`` holds the reduced values at ``positions``, one column per
-    word.  Any k rows of the transposed generator are invertible, so the
-    first k positions fix every column's message with one product and
-    the surplus positions check it with another.
-    """
-    p, k = code.p, code.k
-    head, tail = positions[:k], positions[k:]
-    message = _mat_mul_reduced(_cached_inv(code.gen_t[head], p), rows[:k], p)
-    wrong = np.any(_mat_mul_reduced(code.gen_t[tail], message, p) != rows[k:], axis=0)
-    return message, wrong
-
-
-def recover_message(
-    code: RsCode, known: Mapping[int, object], correct: bool = False
-) -> np.ndarray:
+def recover_message(code: RsCode, known: Mapping[int, object], correct: bool = False) -> np.ndarray:
     """Message of the codeword that >= k known positions determine.
 
-    Positions not in ``known`` are erasures.  Without ``correct``, any k
-    rows of the transposed generator are invertible, so the first k
-    known positions determine the message and the remaining ones are
-    verified against it (NotACodeword on a mismatch).  With ``correct``,
-    the code is punctured to the known positions and each column is
-    decoded to the unique codeword within floor((|known| - k) / 2)
-    errors (DecodingFailure when there is none); errors are located on
-    column 0 and the other columns erasure-decoded around them, with the
-    same result as decoding every column on its own.  Raises TooFewKnown
+    Positions not in ``known`` are erasures; the message is solved
+    around them with the code's basis, no k x k inverse.  Without
+    ``correct``, the known positions must fit one codeword (NotACodeword
+    otherwise).  With ``correct``, each column is decoded to the unique
+    codeword within floor((|known| - k) / 2) errors among them
+    (DecodingFailure when there is none); errors are located on column 0
+    and the other columns erasure-decoded around them, with the same
+    result as decoding every column on its own.  Raises TooFewKnown
     below k positions.
     """
     positions = sorted(int(i) for i in known)
@@ -182,14 +156,15 @@ def recover_message(
         raise InvalidShape("duplicate positions")
     if len(positions) < code.k:
         raise TooFewKnown(f"{len(positions)} known positions, need at least k={code.k}")
-    rows = as_field([known[i] for i in positions], code.p)
-    vector = rows.ndim == 1
-    if vector:
-        rows = rows[:, None]
+    values = as_field([known[i] for i in positions], code.p)
+    vector = values.ndim == 1
+    rows = np.zeros((code.n, 1 if vector else values.shape[1]), dtype=np.int64)
+    rows[positions] = values[:, None] if vector else values
+    erased = np.delete(np.arange(code.n), positions)
     if correct:
-        message = _correct_columns(puncture(code, positions), rows)
+        message = _correct_columns(code, rows, erased)
     else:
-        message, wrong = _solve_known(code, positions, rows)
+        message, wrong = _solve_around(code, rows, erased)
         if wrong.any():
             raise NotACodeword("known positions fit no codeword")
     return message[:, 0] if vector else message
@@ -253,72 +228,96 @@ def _poly_divmod(num: np.ndarray, den: np.ndarray, p: int) -> tuple[np.ndarray, 
     return quot, _poly_trim(num[:dd])
 
 
-_INTERP_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+def _vanishing(points: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of the monic prod(x - x_i) over the last axis of ``points``."""
+    n = points.shape[-1]
+    if points.ndim == 1 and n > 64:  # sqrt(n) chunk products, built side by side
+        width = isqrt(n)
+        full = n - n % width
+        parts = [*_vanishing(points[:full].reshape(-1, width), p), _vanishing(points[full:], p)]
+        return reduce(lambda a, b: _poly_mul(a, b, p), parts)
+    out = np.zeros(points.shape[:-1] + (n + 1,), dtype=np.int64)
+    out[..., 0] = 1
+    for m in range(n):
+        x = points[..., m, None]
+        out[..., 1 : m + 2] = (out[..., : m + 1] - x * out[..., 1 : m + 2]) % p
+        out[..., :1] = -x * out[..., :1] % p
+    return out
 
 
 def _interp_setup(p: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (g0, basis) for interpolation through the given points.
+    """(g0, basis) for interpolation through the points on the last axis.
 
     g0 = prod(x - x_i); basis column i holds the coefficients of the
     Lagrange polynomial L_i, so an interpolant is one matrix-vector
-    product basis @ y.
+    product basis @ y, and the basis is the inverse of the points'
+    square Vandermonde matrix.  Leading axes hold independent point sets.
     """
-    key = (p, points.tobytes())
-    hit = _INTERP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = len(points)
-    g0 = np.array([1], dtype=np.int64)
-    for x in points:
-        g0 = _poly_mul(g0, np.array([-int(x) % p, 1], dtype=np.int64), p)
-    g0 = np.concatenate([g0, np.zeros(n + 1 - len(g0), dtype=np.int64)])
-    # Synthetic division g0 / (x - x_i) for all i at once (Horner, high to low).
-    quots = np.zeros((n, n), dtype=np.int64)
-    quots[n - 1] = g0[n]
+    n = points.shape[-1]
+    g0 = _vanishing(points, p)
+    slope = g0[..., 1:] * np.arange(1, n + 1) % p  # coefficients of g0'
+    # Synthetic division g0 / (x - x_i) for all i at once, high to low
+    # (Horner), beside g0'(x_i) = prod_{j != i} (x_i - x_j), also by Horner.
+    quots = np.empty(points.shape[:-1] + (n, n), dtype=np.int64)
+    state = np.empty((2,) + points.shape, dtype=np.int64)
+    state[0] = g0[..., n, None]
+    state[1] = slope[..., n - 1, None]
+    quots[..., n - 1, :] = state[0]
+    addend = np.moveaxis(np.stack([g0[..., 1:n], slope[..., : n - 1]]), -1, 0)[..., None]
     for j in range(n - 1, 0, -1):
-        quots[j - 1] = (g0[j] + points * quots[j]) % p
-    # Evaluate each quotient at its own point, again by Horner.
-    vals = quots[n - 1].copy()
-    for j in range(n - 2, -1, -1):
-        vals = (vals * points + quots[j]) % p
-    scale = np.array([pow(int(v), -1, p) for v in vals], dtype=np.int64)
-    basis = quots * scale % p
-    if len(_INTERP_CACHE) >= 16:
-        _INTERP_CACHE.pop(next(iter(_INTERP_CACHE)))
-    _INTERP_CACHE[key] = (g0, basis)
-    return g0, basis
+        state *= points
+        state += addend[j - 1]
+        state %= p
+        quots[..., j - 1, :] = state[0]
+    scale = np.array([pow(int(v), -1, p) for v in state[1].ravel()], dtype=np.int64)
+    quots *= scale.reshape(state[1].shape)[..., None, :]
+    quots %= p
+    return g0, quots
 
 
-def _gao_decode_column(code: RsCode, received: np.ndarray) -> np.ndarray | None:
-    """Message of the nearest codeword within ``code.max_errors``, or None.
+def _locator(code: RsCode, erased: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda = prod(x - x_i) over the erased points: coefficients, and value at every point."""
+    p, points = code.p, code.eval_points
+    locator = _vanishing(points[erased], p)
+    return locator, _mat_mul_reduced(_vandermonde(points, len(locator), p), locator, p)
 
-    Partial extended Euclid on (prod(x - x_i), interpolant of the
-    received word) stops at the first remainder of degree below
-    (n + k) / 2; the message polynomial is that remainder divided by its
-    Bezout cofactor.  Equivalent to the Berlekamp-Welch linear system
-    (the cofactor is the error locator) but quadratic instead of cubic.
+
+def _gao_decode_column(code: RsCode, received: np.ndarray, erased: np.ndarray) -> np.ndarray | None:
+    """Message of the codeword within floor((m - k) / 2) of the m known positions, or None.
+
+    On the known points, partial extended Euclid on (prod(x - x_i),
+    interpolant of the received word) stops at the first remainder of
+    degree below (m + k) / 2; the message polynomial is that remainder
+    divided by its Bezout cofactor (Gao; the Berlekamp-Welch system, but
+    quadratic).  Those two polynomials are the full code's g0 and the
+    interpolant of Lambda * y divided by the erasure locator Lambda, so
+    Euclid runs on the undivided ones: each remainder gains the factor
+    Lambda, and the quotients and cofactors stay the same.
     """
-    p, n, k, radius = code.p, code.n, code.k, code.max_errors
+    p, n, k = code.p, code.n, code.k
+    e = len(erased)
+    radius = (n - e - k) // 2
     if radius == 0:
-        message, wrong = _solve_known(code, range(n), received[:, None])
+        message, wrong = _solve_around(code, received[:, None], erased)
         return None if wrong[0] else message[:, 0]
-    g0, basis = _interp_setup(p, code.eval_points)
-    g1 = _poly_trim(_mat_mul_reduced(basis, received, p))
-    r_prev, r = g0, g1
+    locator, values = _locator(code, erased)
+    g0, basis = code.interpolation
+    r_prev, r = g0, _poly_trim(_mat_mul_reduced(basis, values * received % p, p))
     v_prev, v = np.zeros(0, dtype=np.int64), np.array([1], dtype=np.int64)
-    while len(r) and 2 * (len(r) - 1) >= n + k:
+    while len(r) and 2 * (len(r) - 1 - e) >= n - e + k:
         q, rem = _poly_divmod(r_prev, r, p)
         v_prev, v = v, _poly_sub(v_prev, _poly_mul(q, v, p), p)
         r_prev, r = r, rem
     if len(v) == 0:
         return None
-    f, rem = _poly_divmod(r, v, p)
+    f, rem = _poly_divmod(r, _poly_mul(locator, v, p), p)
     if len(rem) or len(f) > k:
         return None
     message = np.zeros(k, dtype=np.int64)
     message[: len(f)] = f
-    word = _mat_mul_reduced(code.gen_t, message, p)
-    if int(np.count_nonzero(word != received)) > radius:
+    wrong = _mat_mul_reduced(code.gen_t, message, p) != received
+    wrong[erased] = False
+    if int(np.count_nonzero(wrong)) > radius:
         return None
     return message
 
@@ -344,60 +343,57 @@ def _series_inverse(mu: np.ndarray, k: int, p: int) -> np.ndarray:
     return nu[:k]
 
 
-def _solve_around(code: RsCode, rows: np.ndarray, erased: np.ndarray) -> np.ndarray:
-    """Messages of the columns of ``rows`` read on the positions outside ``erased``.
+def _solve_around(
+    code: RsCode, rows: np.ndarray, erased: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Messages of the columns of ``rows`` read outside ``erased``, and which fit no codeword.
 
-    With Lambda the monic polynomial whose roots are the erased points,
-    a column that agrees with the codeword of f outside them has
-    Lambda(x_i) * y_i = (Lambda * f)(x_i) at every point, and Lambda * f
-    has degree below n (len(erased) <= n - k).  So one product with the
-    interpolation basis Gao already uses gives the coefficients of Lambda
-    and of every Lambda * f at once, and f is Lambda * f divided by
-    Lambda: an upper-triangular Toeplitz system, solved by the power
-    series inverse of reversed Lambda.  Columns that agree with no
-    codeword outside ``erased`` come back with some message; the caller
-    checks.
+    With Lambda the erasure locator (degree e), the interpolant P of
+    Lambda * y through all n points is Lambda times the interpolant
+    through the others, so a column fits a codeword there exactly when
+    coefficients e + k .. n - 1 of P vanish, and then P = Lambda * f.
+    One product with the code's basis gives them for every column, and
+    f is coefficients e .. e + k - 1 of P divided by Lambda: an upper
+    triangular Toeplitz system, solved by the power series inverse of
+    reversed Lambda.  Unfitting columns come back with some message.
     """
-    p, k, points = code.p, code.k, code.eval_points
+    p, k = code.p, code.k
     e = len(erased)
-    locator_values = np.ones(code.n, dtype=np.int64)
-    for i in erased:
-        locator_values = locator_values * (points - points[i]) % p
-    _, basis = _interp_setup(p, points)
-    weighted = np.column_stack([locator_values, locator_values[:, None] * rows % p])
-    coeffs = _mat_mul_reduced(basis, weighted, p)
+    locator, values = _locator(code, erased)
+    _, basis = code.interpolation
+    top = _mat_mul_reduced(basis[e:], values[:, None] * rows % p, p)
     # Coefficient e + i of Lambda * f is f_i plus sum_s Lambda_{e-s} f_{i+s}.
-    nu = _series_inverse(coeffs[e::-1, 0], k, p)
+    nu = _series_inverse(locator[::-1], k, p)
     offset = np.arange(k)[None, :] - np.arange(k)[:, None]
     solve = np.where(offset >= 0, nu[np.maximum(offset, 0)], 0)
-    return _mat_mul_reduced(solve, coeffs[e : e + k, 1:], p)
+    return _mat_mul_reduced(solve, top[:k], p), np.any(top[k:] != 0, axis=0)
 
 
-def _correct_columns(code: RsCode, rows: np.ndarray) -> np.ndarray:
-    """Message of every column of ``rows`` within ``code.max_errors`` errors.
+def _correct_columns(code: RsCode, rows: np.ndarray, erased: np.ndarray) -> np.ndarray:
+    """Message of every column of ``rows`` within the radius of the known positions.
 
-    Gao decodes column 0, and its error support E is where its codeword
-    and the column differ.  Every column is then erasure-decoded on the
-    positions outside E.  A column that matches its solution on all of
-    them differs from that codeword only inside E, and |E| <= max_errors,
-    so the solution is the unique codeword within the radius: the one
-    Gao would return.  Columns that do not match fall back to their own
-    Gao run in column order, so the first column Gao refuses is the one
-    that decoding every column in turn would name.
+    Gao decodes column 0, whose error support E is where it and its
+    codeword differ, and every column is erasure-decoded around E and
+    ``erased``.  A column that fits a codeword there differs from it only
+    inside E, |E| is within the radius, so that is the codeword Gao would
+    return.  Columns that do not fit get their own Gao run in column
+    order, so the first column Gao refuses is the one that decoding
+    every column in turn would name.
     """
+    radius = (code.n - len(erased) - code.k) // 2
 
     def gao(j: int) -> np.ndarray:
-        column = _gao_decode_column(code, rows[:, j])
+        column = _gao_decode_column(code, rows[:, j], erased)
         if column is None:
-            raise DecodingFailure(f"no codeword within {code.max_errors} errors of column {j}")
+            raise DecodingFailure(f"no codeword within {radius} errors of column {j}")
         return column
 
     if rows.shape[1] == 0:
         return np.zeros((code.k, 0), dtype=np.int64)
     located = _mat_mul_reduced(code.gen_t, gao(0), code.p) != rows[:, 0]
-    message = _solve_around(code, rows, np.flatnonzero(located))
-    mismatch = _mat_mul_reduced(code.gen_t, message, code.p) != rows
-    for j in np.flatnonzero(np.any(mismatch[~located], axis=0)):
+    located[erased] = True
+    message, wrong = _solve_around(code, rows, np.flatnonzero(located))
+    for j in np.flatnonzero(wrong):
         message[:, j] = gao(int(j))
     return message
 

@@ -163,16 +163,10 @@ class Transcript:
     downloaded_symbols: int
 
 
-def run_session(
-    plan: QueryPlan,
-    db: Database,
-    code: StorageCode | None = None,
-    adversary: Adversary | None = None,
-) -> Transcript:
-    """Answer every planned query against the encoded database."""
+def run_session(plan: QueryPlan, db: Database, adversary: Adversary | None = None) -> Transcript:
+    """Answer every planned query against the database encoded with the plan's storage code."""
     p = plan.params.modulus
-    if code is None:
-        code = rs_storage_code(plan.params.n_servers, plan.params.code_dim, p)
+    code = StorageCode(gen=plan.layout.storage_code.gen_t.T, p=p)
     if adversary is None:
         adversary = Adversary()
     if db.m != plan.params.n_files or db.l_rows != plan.l_rows or db.k != plan.params.code_dim:

@@ -11,8 +11,11 @@ from typing import Mapping
 import numpy as np
 
 from coded_pir import gf, rs
-from coded_pir.decode import SingularSystem
 from coded_pir.storage import ServerState, ShapeMismatch, StorageCode
+
+
+class SingularSystem(Exception):
+    """A shared query's responses do not determine it: wrong count or a non-MDS code."""
 
 
 # --- GF(p) elimination on Python ints -------------------------------------------
@@ -84,10 +87,8 @@ def bw_decode_column(code, received, radius=None):
     received = gf.as_field(received, p)
     radius = code.max_errors if radius is None else radius
     if radius == 0:
-        try:
-            return rs.erasure_complete(code, dict(enumerate(received)))
-        except rs.CodingError:
-            return None
+        message = solve_any(code.gen_t, received, p)
+        return None if message is None else gf.mat_mul(code.gen_t, message, p)
     powers = rs._vandermonde(code.eval_points, k + radius, p)
     lhs = np.hstack([powers, (-received[:, None] * powers[:, :radius]) % p])
     rhs = received * powers[:, radius] % p

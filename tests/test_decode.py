@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -54,7 +55,7 @@ def test_decode_shared_query_forward_encode_oracle():
 
 def test_decode_shared_query_wrong_count():
     code = cp.rs_storage_code(4, 2, 7)
-    with pytest.raises(cp.SingularSystem):
+    with pytest.raises(oracles.SingularSystem):
         oracles.decode_shared_query({0: 1}, code)
 
 
@@ -260,9 +261,9 @@ def test_byzantine_decode_locates_errors_once_per_code(byz_plan, monkeypatch, li
     calls = []
     gao = rs._gao_decode_column
 
-    def counted(code, word):
+    def counted(code, word, erased):
         calls.append(code.n)
-        return gao(code, word)
+        return gao(code, word, erased)
 
     monkeypatch.setattr(rs, "_gao_decode_column", counted)
     if len(liars) == 1:
@@ -283,3 +284,57 @@ def test_batched_chunks_name_the_failing_column_within_its_chunk():
     chunks = [{i: good[i] for i in range(7)}, {i: bad[i] for i in range(7)}]
     with pytest.raises(rs.DecodingFailure, match="of column 1$"):
         decode._recover_batch(code, chunks, correct=True)
+
+
+# --- per-plan decoding state -------------------------------------------------------
+
+
+def test_interpolation_bases_are_built_once_per_plan(monkeypatch):
+    builds, adds = [], []
+    build, add = rs._interp_setup, decode.RecoveredAtoms.add
+
+    def counted_build(p, points):
+        builds.append(points.shape)
+        return build(p, points)
+
+    def counted_add(self, *args):
+        adds.append(args)
+        add(self, *args)
+
+    monkeypatch.setattr(rs, "_interp_setup", counted_build)
+    monkeypatch.setattr(decode.RecoveredAtoms, "add", counted_add)
+    for params, adversary in [
+        (robust_params(), cp.Adversary(robust_set=(2,))),
+        (byzantine_params(), cp.Adversary(byzantine_set=(4,), seed=9)),
+    ]:
+        for _ in range(2):  # a fresh plan builds its own bases
+            plan = cp.build_plan(params)
+            db = cp.database_for_plan(plan, seed=17)
+            tr = cp.run_session(plan, db, adversary=adversary)
+            builds.clear()
+            for _ in range(3):
+                assert np.array_equal(cp.reconstruct(plan, tr)[0], db.files[0])
+            symbols = (plan.n_symbols, params.code_dim)  # all symbols in one call
+            assert sorted(builds) == sorted([(plan.big_code.n,), (plan.small_code.n,), symbols])
+    assert adds == []
+    cp.recovered_atoms(plan, tr)
+    assert adds
+
+    for plan in (cp.build_plan(robust_params()), cp.build_plan(pattern_params())):
+        p, k = plan.params.modulus, plan.params.code_dim
+        code = cp.rs_storage_code(plan.params.n_servers, k, p)
+        for subset, inverse in zip(plan.array.symbols, plan.symbol_inverses):
+            for i, n in enumerate(subset):
+                unit = {m: int(m == n) for m in subset}
+                assert np.array_equal(inverse[:, i], oracles.decode_shared_query(unit, code))
+
+
+def test_singular_mixing_matrix_fails_at_decode_time():
+    plan = cp.build_plan(multifile_params())
+    db = cp.database_for_plan(plan, seed=5)
+    tr = cp.run_session(plan, db)
+    mix = plan.mix_matrix.copy()
+    mix[:, 1] = mix[:, 0]
+    singular = dataclasses.replace(plan, mix_matrix=mix)
+    with pytest.raises(cp.DecodingFailure, match="mixing matrix is singular on the desired columns"):
+        cp.reconstruct(singular, tr)

@@ -246,6 +246,11 @@ def test_reduced_product_equals_mat_mul_on_reduced_inputs():
             assert got.tolist() == _int_product(a, b, p), (p, rows, inner, cols)
             vec = gf._mat_mul_reduced(a, b[:, 0], p)
             assert np.array_equal(vec, gf.mat_mul(a, b[:, 0], p)), (p, rows, inner)
+            a2 = rng.integers(0, p, (rows, inner)).astype(np.int64)
+            b2 = rng.integers(0, p, (inner, cols)).astype(np.int64)
+            stacked = gf._mat_mul_reduced(np.stack([a, a2]), np.stack([b, b2]), p)
+            assert np.array_equal(stacked[1], gf.mat_mul(a2, b2, p)), (p, rows, inner, cols)
+            assert np.array_equal(stacked[0], got), (p, rows, inner, cols)
 
 
 def test_mat_mul_reduces_negative_and_unreduced_inputs():

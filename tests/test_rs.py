@@ -289,19 +289,24 @@ def _interleaved_words(draw):
     return code, known, rows
 
 
+@pytest.mark.parametrize("correct", [False, True])
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(case=_interleaved_words())
-def test_interleaved_decoding_matches_per_column_reference(case):
+def test_interleaved_decoding_matches_per_column_reference(case, correct):
     code, known, rows = case
     sub = rs.puncture(code, known)
-    words = [oracles.bw_decode_column(sub, rows[:, j]) for j in range(rows.shape[1])]
+    radius = None if correct else 0
+    words = [oracles.bw_decode_column(sub, rows[:, j], radius) for j in range(rows.shape[1])]
     failed = [j for j, word in enumerate(words) if word is None]
     received = {pos: rows[i] for i, pos in enumerate(known)}
-    if failed:
+    if failed and correct:
         with pytest.raises(rs.DecodingFailure, match=f"of column {failed[0]}$"):
             rs.recover_message(code, received, correct=True)
+    elif failed:
+        with pytest.raises(rs.NotACodeword, match="^known positions fit no codeword$"):
+            rs.recover_message(code, received)
     else:
-        message = rs.recover_message(code, received, correct=True)
+        message = rs.recover_message(code, received, correct=correct)
         assert message.shape == (code.k, rows.shape[1])
         assert np.array_equal(rs.encode(sub, message), np.stack(words, axis=1))
 
