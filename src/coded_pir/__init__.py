@@ -16,6 +16,7 @@ from .decode import (
 )
 from .gf import (
     DEFAULT_MODULUS,
+    Factored,
     FieldError,
     FieldRng,
     NoSolution,

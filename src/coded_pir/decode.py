@@ -6,12 +6,14 @@ with the plan's per-symbol inverses; (2) per group, rebuild the
 interference codeword from the pure blocks (completing erasures or
 correcting errors as the variant demands); (3) subtract interference
 from mixed blocks; (4) per chunk of the desired file, recover the mask
-rows behind its atoms; (5) invert the desired files' masks.  Groups,
-blocks and chunks are read from the plan's layout, and every inverse or
-interpolation basis these steps use is built once per plan, on the plan
-or on its layout's codes.  Wherever more values are available than
-needed, consistency is verified and any mismatch surfaces as
-DecodingFailure.
+rows behind its atoms; (5) undo the desired files' masks, solving
+through the row operations that tested each mask's rank (no mask is
+inverted).  Groups, blocks and chunks are read from the plan's layout,
+and every inverse, mask factorization or interpolation basis these steps
+use is built once per plan, on the plan or on its layout's codes; a
+built plan already holds its mask factorizations.  Wherever more values
+are available than needed, consistency is verified and any mismatch
+surfaces as DecodingFailure.
 
 :func:`reconstruct` runs the steps alone; :func:`recovered_atoms` runs
 the same steps and records every atom value they produce, with its
@@ -194,7 +196,7 @@ def _reconstruct_standard(
             rows_value[slice(*chunk.rows)] = message
             if record is not None:
                 record.add_word(des, chunk.atoms[0], rs.encode(code, message), vals)
-    return {des: _mat_mul_reduced(plan.mask_inverses[des], rows_value, p)}
+    return {des: plan.mask_factors[des].solve(rows_value)}
 
 
 def _reconstruct_multifile(
@@ -253,7 +255,7 @@ def _reconstruct_multifile(
                 for s in range(b):
                     record.add(f, lam * b + s, solved[i, s], FLAG_DIRECT)
 
-    return {f: _mat_mul_reduced(plan.mask_inverses[f], atom_vals[f], p) for f in desired}
+    return {f: plan.mask_factors[f].solve(atom_vals[f]) for f in desired}
 
 
 def _run_pipeline(

@@ -5,12 +5,16 @@ routines are exact: products are accumulated in chunks small enough that
 no intermediate value can exceed the int64 range, so any prime modulus up
 to ``MAX_MODULUS`` (just above 3 * 10**9) is supported.
 
-One elimination kernel, ``_eliminate``, is behind ``row_reduce`` and
-``mat_rank`` and through them ``mat_solve``, ``mat_inv`` and
-``sample_invertible``.  It is blocked: pivots are found column by column
-inside narrow panels, and the rest of the matrix is updated with one
-int64 product per panel, so the O(n**3) work runs in numpy's integer
-matmul and each pivot touches only its panel.
+One elimination kernel, ``_eliminate``, is behind ``row_reduce``,
+``mat_rank`` and ``factor``, and through them ``mat_solve``, ``mat_inv``
+and ``sample_invertible``.  It is blocked: pivots are found column by
+column inside narrow panels, and the rest of the matrix is updated with
+one int64 product per panel, so the O(n**3) work runs in numpy's integer
+matmul and each pivot touches only its panel.  ``factor`` keeps each
+panel's row operations, which a rank test computes anyway, as a
+:class:`Factored` matrix: a square system then solves through them with
+a few products per panel, and ``sample_invertible`` returns its draw so
+factored, with no inverse ever taken.
 
 Randomness comes from a counter-based SplitMix64 stream mapped onto field
 elements by rejection sampling below the largest multiple of p, which
@@ -19,6 +23,9 @@ keeps every draw uniform and every run bit-reproducible from a single
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +80,17 @@ def as_field(a, p: int) -> np.ndarray:
     return np.asarray(a, dtype=np.int64) % p
 
 
+def _reduce(a: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the int64 array ``a`` into [0, p) in place and return it.
+
+    Floor division gives the same residues as ``%``, negative entries
+    included, and numpy's int64 floor division by a scalar is faster than
+    its ``%``.
+    """
+    a -= a // p * p
+    return a
+
+
 def mat_mul(a, b, p: int) -> np.ndarray:
     """Exact matrix product ``a @ b`` over GF(p)."""
     return _mat_mul_reduced(as_field(a, p), as_field(b, p), p)
@@ -93,15 +111,33 @@ def _mat_mul_reduced(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     # Number of addends whose partial sum is guaranteed to fit in int64.
     step = max(1, (2**63 - 1) // max(1, (p - 1) ** 2))
     if inner <= step:
-        return (a @ b) % p
+        return _reduce(a @ b, p)
     acc = 0
     for i in range(0, inner, step):
         rows = (slice(None),) * axis + (slice(i, i + step),)
-        acc = (acc + a[..., i : i + step] @ b[rows]) % p
+        acc = _reduce(acc + a[..., i : i + step] @ b[rows], p)
     return acc
 
 
-def _eliminate(m: np.ndarray, p: int, pivot_cols: int, reduced: bool) -> list[int]:
+class Panel(NamedTuple):
+    """The row operations of one elimination panel, as ``factor`` keeps them.
+
+    Rows ``row`` onward were put in ``order``; then the panel's k pivot
+    rows became ``combos[:k] @ top_rows`` and every other row gained
+    ``combos[k:] @ top_rows``, where ``top_rows`` are the first k rows
+    in that order as they stood before the panel.  ``top`` is their part
+    right of the panel.
+    """
+
+    row: int
+    order: np.ndarray
+    combos: np.ndarray
+    top: np.ndarray
+
+
+def _eliminate(
+    m: np.ndarray, p: int, pivot_cols: int, reduced: bool, panels: list[Panel] | None = None
+) -> list[int]:
     """Gaussian elimination of ``m`` in place over GF(p); returns the pivot columns.
 
     Pivots are searched in the first ``pivot_cols`` columns: the pivot
@@ -110,14 +146,18 @@ def _eliminate(m: np.ndarray, p: int, pivot_cols: int, reduced: bool) -> list[in
     column in every other row, leaving the reduced row-echelon form;
     otherwise it clears only the rows below it, which is all a rank
     needs, and the pivot list is the only result: the rows of ``m`` are
-    then left part-updated.
+    then left part-updated.  Given a ``panels`` list, a rank-mode
+    elimination appends each panel's row operations to it, and clears
+    the pivot rows of the panel above their pivots as well; that changes
+    no pivot, no swap and no row below.
 
     The pivot columns are taken in panels of ``_PANEL`` columns, and
     each panel is eliminated on a copy of its rows from the current one
     down.  Columns right of the panel that are no wider than it ride
     along in the copy.  Wider ones do not: the copy instead records
-    every row as a combination of the panel's pivot rows, so one pivot
-    touches rows x 2 * _PANEL entries, and the rest of the matrix then
+    every row as a combination of the panel's pivot rows (a kept panel
+    records them either way), so one pivot touches rows x 2 * _PANEL
+    entries, and the rest of the matrix then
     takes one exact int64 product per panel.  The rows
     below gain their recorded combination of the pivot rows; in reduced
     mode the pivot rows are rebuilt from theirs, and the rows above are
@@ -134,53 +174,61 @@ def _eliminate(m: np.ndarray, p: int, pivot_cols: int, reduced: bool) -> list[in
         c1 = min(c0 + _PANEL, pivot_cols)
         width = c1 - c0
         # Trailing columns no wider than the panel ride along in the copy.
-        # Wider ones wait for the per-panel products, and the copy gains
-        # a column per pivot: column width + j of a row holds its
-        # coefficient on the panel's j-th pivot row as read before the
-        # panel, the 1 that pivot row starts with included.  A row that is
-        # not a pivot row also keeps itself with coefficient 1.
+        # Wider ones wait for the per-panel products.  Unless they ride
+        # along and no panel is kept, the copy gains a column per pivot:
+        # column span + j of a row holds its coefficient on the panel's
+        # j-th pivot row as read before the panel, the 1 that pivot row
+        # starts with included.  A row that is not a pivot row also keeps
+        # itself with coefficient 1.
         carry = cols - c1 <= width
         span = cols - c0 if carry else width
-        work = np.zeros((rows - r, span if carry else 2 * width), dtype=np.int64)
+        with_combos = panels is not None or not carry
+        work = np.zeros((rows - r, span + width if with_combos else span), dtype=np.int64)
         work[:, :span] = m[r:, c0 : c0 + span]
         order = np.arange(rows - r)
         k = 0
         for c in range(width):
             if r + k == rows:
                 break
-            nz = np.flatnonzero(work[k:, c])
+            nz = work[k:, c].nonzero()[0]
             if nz.size == 0:
                 continue
             pr = k + int(nz[0])
             if pr != k:
                 work[[k, pr]] = work[[pr, k]]
                 order[[k, pr]] = order[[pr, k]]
-            if not carry:
-                work[k, width + k] = 1
-            work[k, c:] *= pow(int(work[k, c]), -1, p)
-            work[k, c:] %= p
+            # The combination columns of pivots still to come are zero.
+            end = span + k + 1 if with_combos else span
+            if with_combos:
+                work[k, span + k] = 1
+            work[k, c:end] *= pow(int(work[k, c]), -1, p)
+            _reduce(work[k, c:end], p)
             factors = work[:, c].copy()
             factors[k] = 0
-            lo = 0 if reduced else k + 1
-            work[lo:, c:] -= factors[lo:, None] * work[k, c:]
-            work[lo:, c:] %= p
+            lo = 0 if reduced or panels is not None else k + 1
+            work[lo:, c:end] -= factors[lo:, None] * work[k, c:end]
+            _reduce(work[lo:, c:end], p)
             pivots.append(c0 + c)
             k += 1
         if k == 0:
             continue
+        combos = work[:, span : span + k]
         if carry:
-            m[r:, c0:] = work
+            if panels is not None:
+                panels.append(Panel(r, order, combos.copy(), m[r:, c1:][order[:k]]))
+            m[r:, c0:] = work[:, :span]
         else:
             trailing = m[r:, c1:][order]
             top = trailing[:k]
-            combos = work[:, width : width + k]
-            m[r + k :, c1:] = (trailing[k:] + _mat_mul_reduced(combos[k:], top, p)) % p
+            m[r + k :, c1:] = _reduce(trailing[k:] + _mat_mul_reduced(combos[k:], top, p), p)
+            if panels is not None:
+                panels.append(Panel(r, order, combos.copy(), top.copy()))
             if reduced:
                 m[r:, c0:c1] = work[:, :width]
                 m[r : r + k, c1:] = _mat_mul_reduced(combos[:k], top, p)
         if reduced and r:
             pivot_entries = m[:r, pivots[-k:]]
-            m[:r, c0:] = (m[:r, c0:] - _mat_mul_reduced(pivot_entries, m[r : r + k, c0:], p)) % p
+            m[:r, c0:] = _reduce(m[:r, c0:] - _mat_mul_reduced(pivot_entries, m[r : r + k, c0:], p), p)
         r += k
     return pivots
 
@@ -203,6 +251,59 @@ def mat_rank(a, p: int) -> int:
     if m.size == 0:
         return 0
     return len(_eliminate(m, p, m.shape[1], reduced=False))
+
+
+@dataclass(frozen=True, eq=False)
+class Factored:
+    """A matrix over GF(p) with the row operations that tested its rank.
+
+    ``solve`` applies them to a right-hand side, panel by panel, in place
+    of an inverse: forward, each panel's ``combos`` times its pivot rows;
+    back, since a panel's pivot block is the identity, its unknowns are
+    the forward result less ``combos[:k] @ (top @ x)`` over the unknowns
+    right of the panel.
+    """
+
+    matrix: np.ndarray
+    p: int
+    rank: int
+    panels: tuple[Panel, ...]
+
+    def solve(self, b) -> np.ndarray:
+        """Solve ``matrix @ x = b`` for a square invertible matrix (else NoSolution).
+
+        ``b`` may be a vector or a matrix of stacked right-hand sides.
+        """
+        n, cols = self.matrix.shape
+        if n != cols:
+            raise NoSolution(f"solve needs a square matrix, got shape {self.matrix.shape}")
+        if self.rank < n:
+            raise NoSolution("matrix is singular")
+        p = self.p
+        x = as_field(b, p)
+        if x.shape[0] != n:
+            raise FieldError(f"shape mismatch for solve: {self.matrix.shape} vs {x.shape}")
+        for r, order, combos, _ in self.panels:
+            rows = x[r:][order]
+            k = combos.shape[1]
+            x[r:] = _mat_mul_reduced(combos, rows[:k], p)
+            x[r + k :] += rows[k:]
+            _reduce(x[r + k :], p)
+        for r, _, combos, top in reversed(self.panels):
+            k = combos.shape[1]
+            if top.size:
+                done = _mat_mul_reduced(top, x[r + k :], p)
+                x[r : r + k] -= _mat_mul_reduced(combos[:k], done, p)
+                _reduce(x[r : r + k], p)
+        return x
+
+
+def factor(a, p: int) -> Factored:
+    """``a`` over GF(p) with its rank and the row operations that found it."""
+    matrix = as_field(a, p)
+    panels: list[Panel] = []
+    rank = len(_eliminate(matrix.copy(), p, matrix.shape[1], reduced=False, panels=panels))
+    return Factored(matrix, p, rank, tuple(panels))
 
 
 def mat_solve(a, b, p: int) -> np.ndarray:
@@ -342,12 +443,13 @@ class FieldRng:
         return order
 
 
-def sample_invertible(size: int, p: int, rng: "FieldRng | int") -> np.ndarray:
-    """Uniform invertible size x size matrix over GF(p).
+def sample_invertible(size: int, p: int, rng: "FieldRng | int") -> Factored:
+    """Uniform invertible size x size matrix over GF(p), factored.
 
     Sampled by rejection: draw a uniform matrix, keep it iff full rank.
-    Deterministic in (size, p, seed); an int is accepted in place of a
-    prepared generator.
+    The kept draw comes with the row operations of its rank test, so a
+    system on it solves with no further elimination.  Deterministic in
+    (size, p, seed); an int is accepted in place of a prepared generator.
     """
     if size < 1:
         raise FieldError(f"matrix size must be positive, got {size}")
@@ -356,6 +458,6 @@ def sample_invertible(size: int, p: int, rng: "FieldRng | int") -> np.ndarray:
     if rng.p != p:
         raise FieldError(f"generator modulus {rng.p} does not match {p}")
     while True:
-        m = rng.matrix(size, size)
-        if mat_rank(m, p) == size:
-            return m
+        drawn = factor(rng.matrix(size, size), p)
+        if drawn.rank == size:
+            return drawn

@@ -41,10 +41,12 @@ import numpy as np
 from . import rs
 from .gf import (
     DEFAULT_MODULUS,
+    Factored,
     FieldError,
     FieldRng,
     check_modulus,
     derive_seed,
+    factor,
     mat_inv,
     mat_mul,
     mat_rank,
@@ -355,9 +357,13 @@ class QueryPlan:
         return self.array.n_symbols
 
     @cached_property
-    def mask_inverses(self) -> dict[int, np.ndarray]:
-        """Inverses of the desired files' masks, computed once per plan."""
-        return {f: mat_inv(self.masks[f], self.params.modulus) for f in self.params.desired}
+    def mask_factors(self) -> dict[int, Factored]:
+        """The desired files' masks, factored for decoding through them.
+
+        ``build_plan`` sets this to the factors its rank tests left; any
+        other plan factors its masks here, once, on first use.
+        """
+        return {f: factor(self.masks[f], self.params.modulus) for f in self.params.desired}
 
     @cached_property
     def mix_inverse(self) -> np.ndarray:
@@ -562,12 +568,19 @@ def build_plan(params: SchemeParams) -> QueryPlan:
 
     The layout fixes every chunk; the seeded stream then draws one
     invertible mask per file and, for multifile, the column order of the
-    mixing matrix.
+    mixing matrix.  The desired files' masks keep the factors their rank
+    tests left, which is all a decode needs to undo them.
     """
     layout = derive_layout(params)
     p, m = params.modulus, params.n_files
     rng = FieldRng(derive_seed(params.seed, PLAN_STREAM), p)
-    masks = tuple(sample_invertible(layout.l_rows, p, rng) for _ in range(m))
+    masks: list[np.ndarray] = []
+    mask_factors: dict[int, Factored] = {}
+    for f in range(m):
+        drawn = sample_invertible(layout.l_rows, p, rng)
+        masks.append(drawn.matrix)
+        if f in params.desired:
+            mask_factors[f] = drawn
     mix_matrix = None
     if params.variant is Variant.MULTI_FILE:
         # Reed-Solomon generator with randomly permuted columns, so any P
@@ -576,15 +589,17 @@ def build_plan(params: SchemeParams) -> QueryPlan:
         mix_matrix = h_base[:, rng.permutation(m)].copy()
     atom_coeffs = tuple(_atom_matrix(layout.chunks[f], masks[f], p) for f in range(m))
     queries, server_queries = _assemble_queries(params, layout, atom_coeffs, mix_matrix)
-    return QueryPlan(
+    plan = QueryPlan(
         params=params,
         layout=layout,
         atom_coeffs=atom_coeffs,
-        masks=masks,
+        masks=tuple(masks),
         queries=queries,
         server_queries=server_queries,
         mix_matrix=mix_matrix,
     )
+    plan.__dict__["mask_factors"] = mask_factors  # fills the cached_property
+    return plan
 
 
 def validate_plan(plan: QueryPlan) -> list[str]:

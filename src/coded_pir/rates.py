@@ -20,7 +20,8 @@ over chunks of min(visible atoms in the chunk, chunk.k), given two
 premises:
 
 - every mask is invertible: ``sample_invertible`` draws it so at build
-  time, and ``plans.validate_plan`` re-checks it for a loaded plan;
+  time, keeping only draws whose factorization has full rank, and
+  ``plans.validate_plan`` re-checks it for a loaded plan;
 - every chunk is its MDS generator times its mask rows:
   ``build_plan`` constructs it so (Reed-Solomon generators are MDS), and
   ``validate_plan`` recomputes every product.

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from itertools import combinations
 
 import numpy as np
@@ -327,6 +328,69 @@ def test_interpolation_bases_are_built_once_per_plan(monkeypatch):
             for i, n in enumerate(subset):
                 unit = {m: int(m == n) for m in subset}
                 assert np.array_equal(inverse[:, i], oracles.decode_shared_query(unit, code))
+
+
+def _count_eliminations(monkeypatch) -> list[int]:
+    """Patch the elimination kernel to log the column count of every matrix it eliminates."""
+    widths = []
+    eliminate = gf._eliminate
+
+    def counted(m, *args, **kwargs):
+        widths.append(m.shape[1])
+        return eliminate(m, *args, **kwargs)
+
+    monkeypatch.setattr(gf, "_eliminate", counted)
+    return widths
+
+
+def test_fresh_plan_decodes_through_its_build_factors(monkeypatch):
+    widths = _count_eliminations(monkeypatch)
+    for params in (prototype_params(), robust_params(), multifile_params()):
+        plan = cp.build_plan(params)
+        assert widths.count(plan.l_rows) >= params.n_files  # the masks' rank tests
+        db = cp.database_for_plan(plan, seed=17)
+        tr = cp.run_session(plan, db)
+        widths.clear()
+        out = cp.reconstruct(plan, tr)
+        assert all(np.array_equal(out[f], db.files[f]) for f in params.desired)
+        assert plan.l_rows not in widths
+
+
+def test_loaded_plan_factors_each_desired_mask_once(monkeypatch):
+    widths = _count_eliminations(monkeypatch)
+    for params, adversary in [
+        (robust_params(), cp.Adversary(robust_set=(4,))),
+        (byzantine_params(), cp.Adversary(byzantine_set=(1,), seed=3)),
+        (multifile_params(), None),
+    ]:
+        built = cp.build_plan(params)
+        loaded = cp.plan_from_json(cp.plan_to_json(built))
+        db = cp.database_for_plan(built, seed=29)
+        tr = cp.run_session(built, db, adversary=adversary)
+        widths.clear()
+        for _ in range(2):
+            out = cp.reconstruct(loaded, tr)
+            assert all(np.array_equal(out[f], db.files[f]) for f in params.desired)
+        assert widths.count(loaded.l_rows) == len(params.desired)
+        assert set(loaded.mask_factors) == set(params.desired)
+        want, got = cp.recovered_atoms(built, tr), cp.recovered_atoms(loaded, tr)
+        assert got.flags == want.flags
+        assert {f: set(v) for f, v in got.values.items()} == {f: set(v) for f, v in want.values.items()}
+        for f, atoms in want.values.items():
+            for a, value in atoms.items():
+                assert np.array_equal(got.values[f][a], value), (f, a)
+
+
+def test_loaded_plan_with_singular_desired_mask_fails_at_decode_time():
+    plan = cp.build_plan(prototype_params())
+    db = cp.database_for_plan(plan, seed=5)
+    tr = cp.run_session(plan, db)
+    doc = json.loads(cp.plan_to_json(plan))
+    (des,) = plan.params.desired
+    doc["masks"][des][1] = doc["masks"][des][0]
+    loaded = cp.plan_from_json(json.dumps(doc))
+    with pytest.raises(cp.DecodingFailure, match="^matrix is singular$"):
+        cp.reconstruct(loaded, tr)
 
 
 def test_singular_mixing_matrix_fails_at_decode_time():

@@ -74,7 +74,7 @@ def test_solve_roundtrip_random_invertible():
     p = 65537
     rng = gf.FieldRng(5, p)
     for _ in range(10):
-        a = gf.sample_invertible(5, p, rng)
+        a = gf.sample_invertible(5, p, rng).matrix
         b = rng.matrix(5, 3)
         x = gf.mat_solve(a, b, p)
         assert np.array_equal(gf.mat_mul(a, x, p), b)
@@ -83,7 +83,7 @@ def test_solve_roundtrip_random_invertible():
 def test_inverse_roundtrip():
     p = 97
     rng = gf.FieldRng(9, p)
-    a = gf.sample_invertible(6, p, rng)
+    a = gf.sample_invertible(6, p, rng).matrix
     assert np.array_equal(gf.mat_mul(a, gf.mat_inv(a, p), p), np.eye(6, dtype=np.int64))
 
 
@@ -204,6 +204,85 @@ def test_elimination_properties(shape, p, seed):
     rows, cols, rank = shape
     rng = np.random.default_rng(seed)
     _check_against_oracles(_low_rank(rows, cols, rank, p, rng), p, rng, limits=())
+
+
+# --- factored solves ------------------------------------------------------------
+
+# Sizes around the panel width.  A square matrix's panel rides its
+# trailing columns along iff at most _PANEL of them are left: 64 has only
+# such panels, while 65 and 100 also have panels that take products.
+FACTOR_SIZES = (1, 31, 32, 33, 64, 65, 100)
+RHS_WIDTHS = (1, 2, 7)
+
+
+def _invertible(n, p, rng):
+    """A random invertible n x n matrix: unit lower times unit upper triangular, rows shuffled."""
+    lower = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    return gf.mat_mul(lower, upper, p)[rng.permutation(n)]
+
+
+def _check_factored_solve(a, p, rng, widths=RHS_WIDTHS):
+    """factor(a).solve equals the Python-int solve and mat_solve for every
+    right-hand side width, and refuses exactly what they refuse."""
+    n = a.shape[0]
+    f = gf.factor(a, p)
+    b = rng.integers(0, p, (n, sum(widths))).astype(np.int64)
+    want = oracles.int_solve(a, b, p)
+    if want is None:
+        assert f.rank < n
+        with pytest.raises(gf.NoSolution):
+            f.solve(b)
+        return
+    assert f.rank == n
+    got = f.solve(b)
+    assert got.tolist() == want, (p, n)
+    assert np.array_equal(got, gf.mat_solve(a, b, p)), (p, n)
+    start = 0
+    for w in widths:
+        assert np.array_equal(f.solve(b[:, start : start + w]), got[:, start : start + w]), (p, n, w)
+        start += w
+    assert np.array_equal(f.solve(b[:, 0]), got[:, 0]), (p, n)
+
+
+@pytest.mark.parametrize("p", DIFFERENTIAL_MODULI)
+def test_factored_solve_matches_python_int_reference(p):
+    rng = np.random.default_rng(2026)
+    for n in FACTOR_SIZES:
+        a = _invertible(n, p, rng)
+        _check_factored_solve(a, p, rng)
+        assert np.array_equal(gf.factor(a, p).matrix, a)
+    for n in (33, 70):  # singular, with ranks off the panel grid
+        a = _low_rank(n, n, n - 2, p, rng)
+        assert gf.factor(a, p).rank == oracles.int_rank(a, p)
+        _check_factored_solve(a, p, rng, widths=(2,))
+
+
+def test_factored_solve_refuses_non_square():
+    f = gf.factor([[1, 0], [0, 1], [1, 1]], 7)
+    assert f.rank == 2
+    with pytest.raises(gf.NoSolution):
+        f.solve([1, 2, 3])
+    with pytest.raises(gf.FieldError):
+        gf.factor(np.eye(3, dtype=np.int64), 7).solve([1, 2])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 72),
+    deficiency=st.sampled_from((0, 0, 0, 1, 5)),
+    width=st.integers(1, 7),
+    p=st.sampled_from(DIFFERENTIAL_MODULI),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_solve_properties(n, deficiency, width, p, seed):
+    rng = np.random.default_rng(seed)
+    a = _invertible(n, p, rng) if deficiency == 0 else _low_rank(n, n, max(0, n - deficiency), p, rng)
+    # The kernel that now keeps row operations still ranks and reduces as before.
+    assert gf.mat_rank(a, p) == gf.factor(a, p).rank == oracles.int_rank(a, p)
+    got, pivots = gf.row_reduce(a, p)
+    assert (got.tolist(), pivots) == oracles.int_row_reduce(a, p)
+    _check_factored_solve(a, p, rng, widths=(width,))
 
 
 # --- multiplication -------------------------------------------------------
@@ -333,25 +412,38 @@ def test_derive_seed_separates_streams():
 
 
 def test_sample_invertible_one_by_one_nonzero():
-    m = gf.sample_invertible(1, 65537, 0)
+    m = gf.sample_invertible(1, 65537, 0).matrix
     assert m.shape == (1, 1) and int(m[0, 0]) != 0
 
 
 def test_sample_invertible_full_rank():
-    m = gf.sample_invertible(3, 65537, 5)
+    m = gf.sample_invertible(3, 65537, 5).matrix
     assert gf.mat_rank(m, 65537) == 3
 
 
 def test_sample_invertible_distinct_across_seeds():
     # 100 seeds, all pairwise distinct draws (spot check of uniformity).
-    seen = {gf.sample_invertible(4, 65537, seed).tobytes() for seed in range(100)}
+    seen = {gf.sample_invertible(4, 65537, seed).matrix.tobytes() for seed in range(100)}
     assert len(seen) == 100
 
 
 def test_sample_invertible_reproducible():
-    a = gf.sample_invertible(4, 65537, 77)
-    b = gf.sample_invertible(4, 65537, 77)
+    a = gf.sample_invertible(4, 65537, 77).matrix
+    b = gf.sample_invertible(4, 65537, 77).matrix
     assert np.array_equal(a, b)
+
+
+def test_sample_invertible_keeps_the_draws_of_a_rank_test_loop():
+    # The factored draw takes the same words from the stream as drawing
+    # and ranking until full rank, and leaves the counter where it would.
+    for p, size, seed in [(2, 4, 1), (3, 5, 2), (65537, 40, 3)]:
+        rng, ref = gf.FieldRng(seed, p), gf.FieldRng(seed, p)
+        drawn = gf.sample_invertible(size, p, rng)
+        while gf.mat_rank(want := ref.matrix(size, size), p) < size:
+            pass
+        assert np.array_equal(drawn.matrix, want) and rng.counter == ref.counter
+        b = ref.matrix(size, 3)
+        assert np.array_equal(gf.mat_mul(drawn.matrix, drawn.solve(b), p), b)
 
 
 def test_modulus_validation():
