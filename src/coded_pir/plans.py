@@ -551,8 +551,10 @@ def _assemble_queries(
     for blk in layout.blocks:
         vectors = np.zeros((b, m * l_rows), dtype=np.int64)
         for f, start in blk.atom_start.items():
-            coeff = 1 if blk.mix_row is None else int(mix_matrix[blk.mix_row, f])
-            vectors[:, f * l_rows : (f + 1) * l_rows] = coeff * atom_coeffs[f][start : start + b] % p
+            part = atom_coeffs[f][start : start + b]
+            if blk.mix_row is not None:  # a mixed block scales the atoms by its mixing-row entry
+                part = int(mix_matrix[blk.mix_row, f]) * part % p
+            vectors[:, f * l_rows : (f + 1) * l_rows] = part
         for s, subset in enumerate(layout.array.symbols):
             qid = len(queries)
             queries.append(
@@ -735,27 +737,120 @@ def _bookkeeping(params: SchemeParams, layout: Layout) -> dict:
     }
 
 
+def _matrix_json(a: np.ndarray) -> str:
+    """``json.dumps(a.tolist(), separators=(",", ":"))`` for a 2-D integer array.
+
+    The same text, built in numpy without a Python int per entry: the
+    digits come from repeated floor division into one grid of fixed-width
+    slots (sign, digits, then "," or "]"), and one boolean compaction
+    drops the leading zeros and the signs of non-negative entries.
+    """
+    rows, cols = a.shape
+    if not rows * cols:
+        return "[" + ",".join(["[]"] * rows) + "]"
+    neg = a < 0
+    sign = int(neg.any())
+    mag = a.astype(np.uint64)  # negatives in two's complement
+    if sign:
+        mag = np.where(neg, -mag, mag)  # |a|, -2**63 included
+    top = int(mag.max())
+    if top < 2**32:
+        mag = mag.astype(np.uint32)  # narrower division, same digits
+    width = len(str(top))
+    slot = sign + width + 1
+    text = np.empty((rows, cols * slot + 2), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    text[:, 0] = ord("[")
+    text[:, -1] = ord(",")
+    text[-1, -1] = ord("]")
+    body = text[:, 1:-1].reshape(rows, cols, slot)
+    kept = keep[:, 1:-1].reshape(rows, cols, slot)
+    body[..., -1] = ord(",")
+    body[:, -1, -1] = ord("]")
+    if sign:
+        body[..., 0] = ord("-")
+        kept[..., 0] = neg
+    for j in range(sign + width - 1, sign - 1, -1):
+        if j < sign + width - 1:
+            kept[..., j] = mag > 0  # kept while a nonzero digit is left at or above it
+        rest = mag // 10
+        body[..., j] = mag - rest * 10 + ord("0")
+        mag = rest
+    return "[" + text[keep].tobytes().decode("ascii")
+
+
+def _matrices_json(arrays) -> str:
+    return "[" + ",".join(map(_matrix_json, arrays)) + "]"
+
+
+def _json_object(fields: dict[str, str]) -> str:
+    """A JSON object from already-encoded values, keys sorted as ``sort_keys`` does."""
+    return "{" + ",".join(json.dumps(k) + ":" + v for k, v in sorted(fields.items())) + "}"
+
+
+def _compact(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def plan_to_json(plan: QueryPlan) -> str:
-    """Canonical JSON for golden-plan diffs; loadable by plan_from_json."""
-    doc = {
-        "schema": _SCHEMA,
-        "params": params_to_dict(plan.params),
-        **_bookkeeping(plan.params, plan.layout),
-        "atom_coeffs": [a.tolist() for a in plan.atom_coeffs],
-        "masks": [s.tolist() for s in plan.masks],
-        "mix_matrix": None if plan.mix_matrix is None else plan.mix_matrix.tolist(),
+    """Canonical JSON for golden-plan diffs; loadable by plan_from_json.
+
+    The text is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
+    of the v1 document, but the masks, atom coefficients and mixing
+    matrix are written by ``_matrix_json`` instead of through Python lists.
+    """
+    fields = {
+        "schema": _compact(_SCHEMA),
+        "params": _compact(params_to_dict(plan.params)),
+        **{k: _compact(v) for k, v in _bookkeeping(plan.params, plan.layout).items()},
+        "atom_coeffs": _matrices_json(plan.atom_coeffs),
+        "masks": _matrices_json(plan.masks),
+        "mix_matrix": "null" if plan.mix_matrix is None else _matrix_json(plan.mix_matrix),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _json_object(fields)
+
+
+def _refuse_float(text: str):
+    raise SchemeError(f"plan JSON holds the non-integer number {text}; plans hold integers only")
+
+
+def _stored_matrix(value, name: str, shape: tuple[int, int], p: int) -> np.ndarray:
+    """One stored integer matrix, refused unless it has ``shape`` and entries in [0, p)."""
+    try:
+        a = np.array(value)
+    except ValueError:
+        raise SchemeError(f"{name} has ragged rows") from None
+    if a.shape != shape:
+        raise SchemeError(f"{name} has shape {a.shape}, not {shape}")
+    if a.dtype.kind not in "iu":
+        # The parser refuses float literals, so a float array holds
+        # integers beyond 64 bits, and so may an object array.
+        if a.dtype.kind == "f" or (a.dtype.kind == "O" and all(type(x) is int for x in a.flat)):
+            raise SchemeError(f"{name} has entries outside [0, {p})")
+        raise SchemeError(f"{name} has non-integer entries")
+    if a.size and (a.min() < 0 or a.max() >= p):
+        raise SchemeError(f"{name} has entries outside [0, {p})")
+    return a.astype(np.int64, copy=False)
+
+
+def _stored_matrices(doc: dict, name: str, shapes: list[tuple[int, int]], p: int) -> tuple[np.ndarray, ...]:
+    value = doc.get(name)
+    if not isinstance(value, list) or len(value) != len(shapes):
+        raise SchemeError(f"{name} must be a list of {len(shapes)} matrices")
+    return tuple(_stored_matrix(v, f"{name}[{i}]", s, p) for i, (v, s) in enumerate(zip(value, shapes)))
 
 
 def plan_from_json(text: str) -> QueryPlan:
     """Load a plan: the layout is derived again from the stored parameters.
 
-    Stored bookkeeping that disagrees with that layout raises SchemeError;
-    the stored atom coefficients are read as they are (``validate_plan``
-    checks them against the masks).
+    Stored bookkeeping that disagrees with that layout raises SchemeError,
+    and so does any stored matrix that is not integers in [0, p) of the
+    layout's shape: one mask (L x L) and one atom matrix (atoms x L) per
+    file, and a mixing matrix (P x M) exactly when the variant is
+    multifile.  The atom coefficients are otherwise read as they are
+    (``validate_plan`` checks them against the masks).
     """
-    doc = json.loads(text)
+    doc = json.loads(text, parse_float=_refuse_float)
     if doc.get("schema") != _SCHEMA:
         raise SchemeError(f"unknown plan schema {doc.get('schema')!r}")
     params = params_from_dict(doc["params"])
@@ -763,11 +858,16 @@ def plan_from_json(text: str) -> QueryPlan:
     wrong = [key for key, value in _bookkeeping(params, layout).items() if doc.get(key) != value]
     if wrong:
         raise SchemeError(f"stored {', '.join(wrong)} disagree with the layout of the parameters")
-    atom_coeffs = tuple(np.array(a, dtype=np.int64).reshape(-1, layout.l_rows) for a in doc["atom_coeffs"])
-    if [a.shape[0] for a in atom_coeffs] != [c[-1].atoms[1] for c in layout.chunks]:
-        raise SchemeError("stored atom_coeffs do not hold one row per atom of each file")
-    masks = tuple(np.array(s, dtype=np.int64) for s in doc["masks"])
-    mix = None if doc["mix_matrix"] is None else np.array(doc["mix_matrix"], dtype=np.int64)
+    p, m, l_rows = params.modulus, params.n_files, layout.l_rows
+    atom_coeffs = _stored_matrices(doc, "atom_coeffs", [(c[-1].atoms[1], l_rows) for c in layout.chunks], p)
+    masks = _stored_matrices(doc, "masks", [(l_rows, l_rows)] * m, p)
+    mix = doc.get("mix_matrix")
+    if params.variant is Variant.MULTI_FILE:
+        if mix is None:
+            raise SchemeError("mix_matrix is missing from a multifile plan")
+        mix = _stored_matrix(mix, "mix_matrix", (params.p_desired, m), p)
+    elif mix is not None:
+        raise SchemeError(f"mix_matrix is stored on a {params.variant.value} plan")
     queries, server_queries = _assemble_queries(params, layout, atom_coeffs, mix)
     return QueryPlan(
         params=params,

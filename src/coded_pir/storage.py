@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rs
 from .gf import DEFAULT_MODULUS, FieldRng, _mat_mul_reduced, as_field, derive_seed, mat_mul
-from .plans import QueryPlan
+from .plans import QueryPlan, _json_object, _matrices_json
 
 DATABASE_STREAM = 2
 ADVERSARY_STREAM = 3
@@ -95,8 +95,11 @@ def database_for_plan(plan: QueryPlan, seed: int | None = None) -> Database:
 
 
 def database_to_json(db: Database) -> str:
-    doc = {"p": db.p, "files": [f.tolist() for f in db.files]}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """``json.dumps({"files": [...], "p": p}, sort_keys=True, separators=(",", ":"))``.
+
+    Each file is written by the plan JSON's exact integer-matrix writer.
+    """
+    return _json_object({"files": _matrices_json(db.files), "p": json.dumps(db.p)})
 
 
 def database_from_json(text: str) -> Database:

@@ -5,12 +5,13 @@ production code computes another way, so a disagreement points at one
 of the two.
 """
 
+import json
 from itertools import combinations
 from typing import Mapping
 
 import numpy as np
 
-from coded_pir import gf, rs
+from coded_pir import gf, plans, rs
 from coded_pir.storage import ServerState, ShapeMismatch, StorageCode
 
 
@@ -157,3 +158,24 @@ def dense_view_ranks(plan, servers) -> tuple[int, ...]:
         rows = plan.atom_coeffs[f][sorted(atom_ids)]
         ranks.append(gf.mat_rank(rows, plan.params.modulus))
     return tuple(ranks)
+
+
+# --- plan JSON ----------------------------------------------------------------------
+
+
+def matrix_json(a) -> str:
+    """A 2-D integer array as compact JSON, through Python lists."""
+    return json.dumps(np.asarray(a).tolist(), separators=(",", ":"))
+
+
+def plan_json(plan) -> str:
+    """The v1 plan document built from Python lists and dumped in one call."""
+    doc = {
+        "schema": plans._SCHEMA,
+        "params": plans.params_to_dict(plan.params),
+        **plans._bookkeeping(plan.params, plan.layout),
+        "atom_coeffs": [a.tolist() for a in plan.atom_coeffs],
+        "masks": [s.tolist() for s in plan.masks],
+        "mix_matrix": None if plan.mix_matrix is None else plan.mix_matrix.tolist(),
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
