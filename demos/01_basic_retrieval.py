@@ -18,7 +18,7 @@ plan = cp.build_plan(params)
 print("pure/mixed ratio:", f"alpha={plan.ab.alpha}, beta={plan.ab.beta}")
 print("rows per file:   ", plan.l_rows)
 print("blocks:          ", len(plan.blocks))
-print("queries:         ", len(plan.queries), f"({len(plan.queries) // len(plan.blocks)} per block)")
+print("queries:         ", len(plan.blocks) * plan.n_symbols, f"({plan.n_symbols} per block)")
 
 print("\nassisting array (symbol ids per server):")
 for n, column in enumerate(plan.array.columns):

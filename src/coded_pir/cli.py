@@ -126,7 +126,7 @@ def cmd_build(args) -> int:
     print(
         f"plan: variant={plan.params.variant.value} alpha={plan.ab.alpha} "
         f"beta={plan.ab.beta} L={plan.l_rows} blocks={len(plan.blocks)} "
-        f"queries={len(plan.queries)}",
+        f"queries={len(plan.blocks) * plan.n_symbols}",
         file=sys.stderr,
     )
     return 0

@@ -87,10 +87,10 @@ def _query_values(plan: QueryPlan, transcript: Transcript) -> list[np.ndarray | 
     for s, subset in enumerate(symbols):
         slot[s, list(subset)] = range(len(subset))
     # resp[q, i]: the response of the i-th server of its symbol to query q.
-    resp = np.zeros((len(plan.queries), k), dtype=np.int64)
+    resp = np.zeros((len(plan.blocks) * b, k), dtype=np.int64)
     for n, answers in enumerate(transcript.responses):
         if answers is not None and len(answers):
-            qids = np.asarray(plan.server_queries[n])
+            qids = plan.layout.server_queries[n]
             resp[qids, slot[qids % b, n]] = answers
     resp %= p
     answered = [all(transcript.responses[n] is not None for n in subset) for subset in symbols]

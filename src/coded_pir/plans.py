@@ -8,8 +8,9 @@ range of atoms; per block the first atom of each labelled file; per
 group its pure and mixed blocks.  The seeded part is one invertible mask
 per file, plus the multifile mixing matrix.  A file's atom coefficient
 matrix stacks, chunk after chunk, the chunk's generator times its mask
-rows.  Queries are vectors in the concatenated M*L coordinate space;
-each one is shared by the K servers of its symbol's subset.
+rows.  Query ``block * b + s``, shared by the K servers of symbol s,
+sums atom ``atom_start[f] + s`` of each labelled file f (times the
+block's mixing entry on multifile); it is derived, never stored.
 
 Construction, validation, the privacy audit (``rates``), decoding and
 the plan JSON all read the one layout.  The v1 JSON's ``array``,
@@ -33,7 +34,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, zip_longest
+from itertools import combinations
 from math import comb, gcd
 
 import numpy as np
@@ -302,10 +303,16 @@ class Layout:
     blocks: tuple[Block, ...]
     groups: tuple[Group, ...]
 
+    @cached_property
+    def server_queries(self) -> tuple[np.ndarray, ...]:
+        """Per server n, the ids ``block * b + s`` of its queries: every block, every symbol s of column n."""
+        firsts = np.arange(len(self.blocks))[:, None] * self.array.n_symbols
+        return tuple((firsts + np.array(c, dtype=np.int64)).ravel() for c in self.array.columns)
+
 
 @dataclass(frozen=True)
 class Query:
-    """A single shared query: one vector served by the K servers of a symbol."""
+    """A single shared query, written out: one vector served by the K servers of a symbol."""
 
     index: int
     block: int
@@ -320,8 +327,6 @@ class QueryPlan:
     layout: Layout
     atom_coeffs: tuple[np.ndarray, ...]
     masks: tuple[np.ndarray, ...]
-    queries: tuple[Query, ...]
-    server_queries: tuple[tuple[int, ...], ...]
     mix_matrix: np.ndarray | None
 
     @property
@@ -364,6 +369,24 @@ class QueryPlan:
         other plan factors its masks here, once, on first use.
         """
         return {f: factor(self.masks[f], self.params.modulus) for f in self.params.desired}
+
+    @cached_property
+    def queries(self) -> tuple[Query, ...]:
+        """Every query as a dense M*L vector, for inspection; sessions and decoding never read it."""
+        p, m, l_rows, b = self.params.modulus, self.params.n_files, self.l_rows, self.n_symbols
+        queries: list[Query] = []
+        for blk in self.blocks:
+            vectors = np.zeros((b, m * l_rows), dtype=np.int64)
+            for f, start in blk.atom_start.items():
+                part = self.atom_coeffs[f][start : start + b]
+                if blk.mix_row is not None:  # a mixed block scales the atoms by its mixing-row entry
+                    part = int(self.mix_matrix[blk.mix_row, f]) * part % p
+                vectors[:, f * l_rows : (f + 1) * l_rows] = part
+            queries += [
+                Query(index=blk.index * b + s, block=blk.index, symbol=s, servers=subset, vector=vectors[s])
+                for s, subset in enumerate(self.array.symbols)
+            ]
+        return tuple(queries)
 
     @cached_property
     def mix_inverse(self) -> np.ndarray:
@@ -538,33 +561,6 @@ def _atom_matrix(chunks: tuple[Chunk, ...], mask: np.ndarray, p: int) -> np.ndar
     ])
 
 
-def _assemble_queries(
-    params: SchemeParams,
-    layout: Layout,
-    atom_coeffs: tuple[np.ndarray, ...],
-    mix_matrix: np.ndarray | None,
-) -> tuple[tuple[Query, ...], tuple[tuple[int, ...], ...]]:
-    p, m, l_rows = params.modulus, params.n_files, layout.l_rows
-    b = layout.array.n_symbols
-    queries: list[Query] = []
-    per_server: list[list[int]] = [[] for _ in range(params.n_servers)]
-    for blk in layout.blocks:
-        vectors = np.zeros((b, m * l_rows), dtype=np.int64)
-        for f, start in blk.atom_start.items():
-            part = atom_coeffs[f][start : start + b]
-            if blk.mix_row is not None:  # a mixed block scales the atoms by its mixing-row entry
-                part = int(mix_matrix[blk.mix_row, f]) * part % p
-            vectors[:, f * l_rows : (f + 1) * l_rows] = part
-        for s, subset in enumerate(layout.array.symbols):
-            qid = len(queries)
-            queries.append(
-                Query(index=qid, block=blk.index, symbol=s, servers=subset, vector=vectors[s])
-            )
-            for n in subset:
-                per_server[n].append(qid)
-    return tuple(queries), tuple(tuple(q) for q in per_server)
-
-
 def build_plan(params: SchemeParams) -> QueryPlan:
     """Construct the full deterministic query plan for ``params``.
 
@@ -589,15 +585,11 @@ def build_plan(params: SchemeParams) -> QueryPlan:
         # of its M columns are independent.
         h_base = rs.rs_transposed_generator(m, params.p_desired, p).gen_t.T
         mix_matrix = h_base[:, rng.permutation(m)].copy()
-    atom_coeffs = tuple(_atom_matrix(layout.chunks[f], masks[f], p) for f in range(m))
-    queries, server_queries = _assemble_queries(params, layout, atom_coeffs, mix_matrix)
     plan = QueryPlan(
         params=params,
         layout=layout,
-        atom_coeffs=atom_coeffs,
+        atom_coeffs=tuple(_atom_matrix(layout.chunks[f], masks[f], p) for f in range(m)),
         masks=tuple(masks),
-        queries=queries,
-        server_queries=server_queries,
         mix_matrix=mix_matrix,
     )
     plan.__dict__["mask_factors"] = mask_factors  # fills the cached_property
@@ -607,13 +599,12 @@ def build_plan(params: SchemeParams) -> QueryPlan:
 def validate_plan(plan: QueryPlan) -> list[str]:
     """Check what the layout does not guarantee; return the violations found.
 
-    The layout itself is derived from the parameters, so its block
-    multiplicities, groups and row ranges hold by construction (and
-    ``plan_from_json`` refuses stored ones that differ).  What is left:
-    the parameters, the queries, and the two premises of the privacy
-    audit's rank count (module ``rates``): every mask is invertible, and
-    every file's atom coefficients are its chunk generators times its
-    mask rows.
+    The layout and the queries derived from it and the atoms hold by
+    construction (``plan_from_json`` refuses stored bookkeeping that
+    differs).  What is left: the parameters, and the two premises of the
+    privacy audit's rank count (module ``rates``): every mask is
+    invertible, and every file's stored atom coefficients are its chunk
+    generators times its mask rows.
     """
     params = plan.params
     try:
@@ -622,18 +613,6 @@ def validate_plan(plan: QueryPlan) -> list[str]:
         return [f"params: {exc}"]
     out: list[str] = []
     p, l_rows = params.modulus, plan.l_rows
-    queries, server_queries = _assemble_queries(params, plan.layout, plan.atom_coeffs, plan.mix_matrix)
-    if plan.server_queries != server_queries:
-        out.append("query multiplicity: servers do not hold exactly their symbols' queries")
-    for q, want in zip_longest(plan.queries, queries):
-        if q is None or want is None or (q.index, q.block, q.symbol, q.servers) != (
-            want.index, want.block, want.symbol, want.servers
-        ):
-            out.append("queries are not one per (block, symbol) served by the symbol's subset")
-            break
-        if not np.array_equal(q.vector, want.vector):
-            out.append(f"query {q.index} vector disagrees with its atoms")
-            break
     for f in range(params.n_files):
         mask = plan.masks[f]
         if mask.shape != (l_rows, l_rows) or mat_rank(mask, p) != l_rows:
@@ -814,22 +793,22 @@ def _refuse_float(text: str):
     raise SchemeError(f"plan JSON holds the non-integer number {text}; plans hold integers only")
 
 
-def _stored_matrix(value, name: str, shape: tuple[int, int], p: int) -> np.ndarray:
-    """One stored integer matrix, refused unless it has ``shape`` and entries in [0, p)."""
+def _stored_matrix(value, name: str, shape: tuple[int, int] | None, p: int, error=SchemeError) -> np.ndarray:
+    """One stored integer matrix, refused (``error``) unless it has ``shape`` (or any 2-D one) and entries in [0, p)."""
     try:
         a = np.array(value)
     except ValueError:
-        raise SchemeError(f"{name} has ragged rows") from None
-    if a.shape != shape:
-        raise SchemeError(f"{name} has shape {a.shape}, not {shape}")
-    if a.dtype.kind not in "iu":
-        # The parser refuses float literals, so a float array holds
-        # integers beyond 64 bits, and so may an object array.
+        raise error(f"{name} has ragged rows") from None
+    if a.ndim != 2 or a.shape != (shape or a.shape):
+        raise error(f"{name} has shape {a.shape}, not {shape or 'rows x columns'}")
+    if a.dtype.kind not in "iu" and a.size:
+        # The parsers keep float literals out of float arrays, so a float
+        # array holds integers beyond 64 bits, and so may an object array.
         if a.dtype.kind == "f" or (a.dtype.kind == "O" and all(type(x) is int for x in a.flat)):
-            raise SchemeError(f"{name} has entries outside [0, {p})")
-        raise SchemeError(f"{name} has non-integer entries")
+            raise error(f"{name} has entries outside [0, {p})")
+        raise error(f"{name} has non-integer entries")
     if a.size and (a.min() < 0 or a.max() >= p):
-        raise SchemeError(f"{name} has entries outside [0, {p})")
+        raise error(f"{name} has entries outside [0, {p})")
     return a.astype(np.int64, copy=False)
 
 
@@ -847,8 +826,10 @@ def plan_from_json(text: str) -> QueryPlan:
     and so does any stored matrix that is not integers in [0, p) of the
     layout's shape: one mask (L x L) and one atom matrix (atoms x L) per
     file, and a mixing matrix (P x M) exactly when the variant is
-    multifile.  The atom coefficients are otherwise read as they are
-    (``validate_plan`` checks them against the masks).
+    multifile.  The v1 document stores every file's atom coefficients;
+    they are read as stored, not derived from the masks, and
+    ``validate_plan`` checks them against the masks.  No query is
+    assembled.
     """
     doc = json.loads(text, parse_float=_refuse_float)
     if doc.get("schema") != _SCHEMA:
@@ -868,13 +849,4 @@ def plan_from_json(text: str) -> QueryPlan:
         mix = _stored_matrix(mix, "mix_matrix", (params.p_desired, m), p)
     elif mix is not None:
         raise SchemeError(f"mix_matrix is stored on a {params.variant.value} plan")
-    queries, server_queries = _assemble_queries(params, layout, atom_coeffs, mix)
-    return QueryPlan(
-        params=params,
-        layout=layout,
-        atom_coeffs=atom_coeffs,
-        masks=masks,
-        queries=queries,
-        server_queries=server_queries,
-        mix_matrix=mix,
-    )
+    return QueryPlan(params=params, layout=layout, atom_coeffs=atom_coeffs, masks=masks, mix_matrix=mix)

@@ -2,10 +2,10 @@
 
 Each of the M files is an L x K matrix; server n stores, file-major, the
 projection of every file row onto column n of the (N, K) storage code.
-A session answers each server's query list with plain dot products, then
-applies the configured adversary: robust servers stay silent, Byzantine
-servers corrupt every response.  Download accounting only counts
-responses that actually arrived.
+A session answers every query at every server from one projection per
+file, then applies the configured adversary: robust servers stay silent,
+Byzantine servers corrupt every response.  Download accounting only
+counts responses that actually arrived.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from typing import Callable
 import numpy as np
 
 from . import rs
-from .gf import DEFAULT_MODULUS, FieldRng, _mat_mul_reduced, as_field, derive_seed, mat_mul
-from .plans import QueryPlan, _json_object, _matrices_json
+from .gf import DEFAULT_MODULUS, FieldError, FieldRng, _mat_mul_reduced, _reduce, as_field
+from .gf import check_modulus, derive_seed, mat_mul
+from .plans import QueryPlan, _json_object, _matrices_json, _stored_matrix
 
 DATABASE_STREAM = 2
 ADVERSARY_STREAM = 3
@@ -103,10 +104,25 @@ def database_to_json(db: Database) -> str:
 
 
 def database_from_json(text: str) -> Database:
-    doc = json.loads(text)
-    return Database(
-        files=tuple(np.array(f, dtype=np.int64) for f in doc["files"]), p=doc["p"]
-    )
+    """Load a database: ``p`` passes ``check_modulus`` and the files are integer
+    matrices of one shape in [0, p), or StorageError names the field at fault.
+
+    Float literals parse as strings, so they are refused, not truncated.
+    """
+    doc = json.loads(text, parse_float=str)
+    if not isinstance(doc, dict):
+        raise StorageError("database JSON must be an object")
+    p = doc.get("p")
+    try:
+        check_modulus(p)
+    except FieldError as exc:
+        raise StorageError(f"p: {exc}") from None
+    files = doc.get("files")
+    if not isinstance(files, list) or not files:
+        raise StorageError("files must be a non-empty list of matrices")
+    first = _stored_matrix(files[0], "files[0]", None, p, StorageError)
+    rest = (_stored_matrix(f, f"files[{i}]", first.shape, p, StorageError) for i, f in enumerate(files[1:], 1))
+    return Database(files=(first, *rest), p=p)
 
 
 @dataclass(frozen=True)
@@ -167,8 +183,13 @@ class Transcript:
 
 
 def run_session(plan: QueryPlan, db: Database, adversary: Adversary | None = None) -> Transcript:
-    """Answer every planned query against the database encoded with the plan's storage code."""
-    p = plan.params.modulus
+    """Answer every planned query against the database encoded with the plan's storage code.
+
+    ``proj = atom_coeffs[f] @ (W_f @ G)`` answers every atom of file f at
+    every server; a block's answers add ``c * proj[atom_start[f] :][:b]``
+    over its files, c its mixing entry or 1, reduced after each addition.
+    """
+    p, b = plan.params.modulus, plan.n_symbols
     code = StorageCode(gen=plan.layout.storage_code.gen_t.T, p=p)
     if adversary is None:
         adversary = Adversary()
@@ -179,19 +200,24 @@ def run_session(plan: QueryPlan, db: Database, adversary: Adversary | None = Non
     if any(n < 0 or n >= code.n_servers for n in adversary.robust_set + adversary.byzantine_set):
         raise ShapeMismatch("adversary names servers outside the system")
 
-    servers = encode_database(db, code)
+    encoded = np.column_stack([s.contents for s in encode_database(db, code)])
+    table = np.zeros((len(plan.blocks), b, code.n_servers), dtype=np.int64)
+    for f in range(plan.params.n_files):
+        proj = _mat_mul_reduced(plan.atom_coeffs[f], encoded[f * db.l_rows : (f + 1) * db.l_rows], p)
+        blocks = [blk for blk in plan.blocks if f in blk.atom_start]
+        ids = [blk.index for blk in blocks]
+        rows = np.array([blk.atom_start[f] for blk in blocks])[:, None] + np.arange(b)
+        scale = [1 if blk.mix_row is None else int(plan.mix_matrix[blk.mix_row, f]) for blk in blocks]
+        table[ids] = _reduce(table[ids] + np.array(scale)[:, None, None] * proj[rows], p)
+    table = table.reshape(-1, code.n_servers)  # row block * b + s: query block * b + s
     responses: list[np.ndarray | None] = []
     downloaded = 0
     for n in range(code.n_servers):
         if n in adversary.robust_set:
             responses.append(None)
             continue
-        qids = plan.server_queries[n]
-        if qids:
-            qmat = np.stack([plan.queries[q].vector for q in qids])
-            answers = _mat_mul_reduced(qmat, servers[n].contents, p)
-        else:
-            answers = np.zeros(0, dtype=np.int64)
+        qids = plan.layout.server_queries[n]
+        answers = table[qids, n]
         if n in adversary.byzantine_set:
             rng = FieldRng(derive_seed(derive_seed(adversary.seed, ADVERSARY_STREAM), n), p)
             answers = as_field(adversary.corruption(rng, n, answers), p)

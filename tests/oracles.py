@@ -12,7 +12,15 @@ from typing import Mapping
 import numpy as np
 
 from coded_pir import gf, plans, rs
-from coded_pir.storage import ServerState, ShapeMismatch, StorageCode
+from coded_pir.storage import (
+    ADVERSARY_STREAM,
+    Adversary,
+    ServerState,
+    ShapeMismatch,
+    StorageCode,
+    Transcript,
+    encode_database,
+)
 
 
 class SingularSystem(Exception):
@@ -158,6 +166,29 @@ def dense_view_ranks(plan, servers) -> tuple[int, ...]:
         rows = plan.atom_coeffs[f][sorted(atom_ids)]
         ranks.append(gf.mat_rank(rows, plan.params.modulus))
     return tuple(ranks)
+
+
+def dense_session(plan, db, adversary=None) -> Transcript:
+    """``run_session`` through the dense query view: each server's queries,
+    stacked as M*L vectors, dotted with its stored contents."""
+    p = plan.params.modulus
+    code = StorageCode(gen=plan.layout.storage_code.gen_t.T, p=p)
+    adversary = adversary or Adversary()
+    servers = encode_database(db, code)
+    responses = []
+    downloaded = 0
+    for n in range(code.n_servers):
+        if n in adversary.robust_set:
+            responses.append(None)
+            continue
+        mine = [q.vector for q in plan.queries if n in q.servers]
+        answers = gf.mat_mul(np.stack(mine), servers[n].contents, p) if mine else np.zeros(0, dtype=np.int64)
+        if n in adversary.byzantine_set:
+            rng = gf.FieldRng(gf.derive_seed(gf.derive_seed(adversary.seed, ADVERSARY_STREAM), n), p)
+            answers = gf.as_field(adversary.corruption(rng, n, answers), p)
+        responses.append(answers)
+        downloaded += len(mine)
+    return Transcript(responses=tuple(responses), downloaded_symbols=downloaded)
 
 
 # --- plan JSON ----------------------------------------------------------------------

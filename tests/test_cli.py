@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from coded_pir import cli
+from conftest import FACTORIES, cli_argv
 
 
 def run(argv, capsys):
@@ -180,3 +183,19 @@ def test_simulate_remaining_examples(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.splitlines()[0])
     assert doc["closed_form"] == "5/9" and doc["all_exact"]
+
+
+# The one-line stderr summary of ``build`` on the five worked examples.
+BUILD_SUMMARIES = {
+    "prototype": "plan: variant=prototype alpha=5 beta=1 L=216 blocks=91 queries=546",
+    "robust": "plan: variant=robust alpha=9 beta=1 L=100 blocks=19 queries=285",
+    "byzantine": "plan: variant=byzantine alpha=13 beta=1 L=196 blocks=27 queries=756",
+    "multifile": "plan: variant=multifile alpha=5 beta=1 L=36 blocks=17 queries=102",
+    "pattern": "plan: variant=pattern alpha=4 beta=1 L=25 blocks=9 queries=45",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_build_summary_pinned(name, tmp_path, capsys):
+    argv = cli_argv("build", FACTORIES[name](), tmp_path) + ["--out", str(tmp_path / "plan.json")]
+    assert run(argv, capsys) == (0, "", BUILD_SUMMARIES[name] + "\n")

@@ -7,6 +7,7 @@ import pytest
 
 import coded_pir as cp
 from conftest import (
+    FACTORIES,
     byzantine_params,
     multifile_params,
     pattern_params,
@@ -162,12 +163,18 @@ def test_validate_plan_catches_changed_atom_coeffs(factory, file):
     ]
 
 
-def test_validate_plan_catches_missing_query():
-    plan = cp.build_plan(prototype_params())
-    sq = list(list(q) for q in plan.server_queries)
-    sq[0] = sq[0][1:]  # drop one query from server 0
-    broken = replace(plan, server_queries=tuple(tuple(q) for q in sq))
-    assert any("multiplicity" in v for v in cp.validate_plan(broken))
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_pipeline_never_builds_the_dense_query_view(name):
+    built = cp.build_plan(FACTORIES[name]())
+    loaded = cp.plan_from_json(cp.plan_to_json(built))
+    for plan in (built, loaded):
+        transcript = cp.run_session(plan, cp.database_for_plan(plan, seed=1))
+        cp.reconstruct(plan, transcript)
+        cp.recovered_atoms(plan, transcript)
+        cp.full_privacy_sweep(plan)
+        assert cp.validate_plan(plan) == []
+        cp.plan_to_json(plan)
+        assert "queries" not in plan.__dict__
 
 
 def test_validate_plan_catches_block_multiplicity():

@@ -1,9 +1,17 @@
+import re
+from dataclasses import replace
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coded_pir as cp
 import oracles
 from coded_pir import gf
+from conftest import FACTORIES, multifile_params
+from feasible import SMALL_FEASIBLE
 
 
 def project_by_hand(db, code):
@@ -157,6 +165,32 @@ def test_database_json_roundtrip():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        ('{"files":[[[1.5,2],[3,4]]],"p":7}', "files[0]"),  # float literal
+        ('{"files":[[["7",2],[3,4]]],"p":7}', "files[0]"),  # string
+        ('{"files":[[[null,2],[3,4]]],"p":7}', "files[0]"),
+        ('{"files":[[[1,2],[3]]],"p":7}', "files[0]"),  # ragged rows
+        ('{"files":[[1,2]],"p":7}', "files[0]"),  # not a matrix
+        ('{"files":[[[1,2],[3,4]],[[1,2]]],"p":7}', "files[1]"),  # unequal file shapes
+        ('{"files":[[[1,2],[3,4]],[[1,2],[3,7]]],"p":7}', "files[1]"),  # entry = p
+        ('{"files":[[[1,2],[3,-1]]],"p":7}', "files[0]"),
+        ('{"files":[[[70000]]],"p":65537}', "files[0]"),
+        ('{"files":[[[18446744073709551616]]],"p":7}', "files[0]"),  # beyond 64 bits
+        ('{"files":[],"p":7}', "files"),
+        ('{"p":7}', "files"),
+        ('{"files":[[[1]]],"p":65536}', "p"),  # not prime
+        ('{"files":[[[1]]],"p":7.0}', "p"),
+        ('{"files":[[[1]]],"p":"7"}', "p"),
+        ('{"files":[[[1]]],"p":null}', "p"),
+    ],
+)
+def test_database_from_json_refuses_malformed_documents(text, field):
+    with pytest.raises(cp.StorageError, match=f"^{re.escape(field)}[ :]"):
+        cp.database_from_json(text)
+
+
 def test_random_database_deterministic():
     a = cp.random_database(2, 4, 2, 65537, seed=6)
     b = cp.random_database(2, 4, 2, 65537, seed=6)
@@ -174,3 +208,62 @@ def test_shape_mismatch_errors(proto_plan):
         cp.run_session(proto_plan, db, adversary=cp.Adversary(robust_set=(9,)))
     with pytest.raises(cp.ShapeMismatch):
         cp.Database(files=(np.zeros((2, 2), dtype=np.int64), np.zeros((3, 2), dtype=np.int64)), p=7)
+
+
+# --- the session against the dense query view ----------------------------------------
+
+
+def assert_same_session(plan, db, adversary=None):
+    got = cp.run_session(plan, db, adversary=adversary)
+    want = oracles.dense_session(plan, db, adversary)
+    assert got.downloaded_symbols == want.downloaded_symbols
+    assert [r is None for r in got.responses] == [r is None for r in want.responses]
+    for a, b in zip(got.responses, want.responses):
+        assert a is None or np.array_equal(a, b)
+
+
+def _faults(params):
+    """Every single absence (robust), every liar and liar pair (byzantine)."""
+    servers = range(params.n_servers)
+    if params.variant is cp.Variant.ROBUST:
+        return [cp.Adversary(robust_set=(n,)) for n in servers]
+    if params.variant is cp.Variant.BYZANTINE:
+        return [cp.Adversary(byzantine_set=c, seed=5) for r in (1, 2) for c in combinations(servers, r)]
+    return []
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_session_matches_dense_view_under_every_fault(name):
+    plan = cp.build_plan(FACTORIES[name]())
+    db = cp.database_for_plan(plan, seed=1)
+    for adversary in [None] + _faults(plan.params):
+        assert_same_session(plan, db, adversary)
+
+
+@st.composite
+def _drawn_sessions(draw):
+    params = draw(st.sampled_from(SMALL_FEASIBLE[draw(st.sampled_from(sorted(SMALL_FEASIBLE)))]))
+    if params.variant is not cp.Variant.MULTI_FILE:
+        params = replace(params, desired=(draw(st.integers(0, params.n_files - 1)),))
+    servers = st.lists(st.integers(0, params.n_servers - 1), max_size=2)
+    adversary = cp.Adversary(robust_set=draw(servers), byzantine_set=draw(servers), seed=draw(st.integers(0, 99)))
+    return replace(params, seed=draw(st.integers(0, 2**16))), adversary
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(drawn=_drawn_sessions())
+def test_session_matches_dense_view_on_drawn_plans(drawn):
+    params, adversary = drawn
+    plan = cp.build_plan(params)
+    assert_same_session(plan, cp.database_for_plan(plan, seed=params.seed), adversary)
+
+
+def test_session_stays_exact_with_mixing_entries_near_the_modulus():
+    # A built plan's mixing entries are small.  Entries near p - 1 at the
+    # largest modulus make every scaled atom answer nearly p**2, so the
+    # mixed blocks' sums are exact only if each addition is reduced.
+    p = 3037000493
+    plan = cp.build_plan(replace(multifile_params(), modulus=p))
+    shape = plan.mix_matrix.shape
+    plan = replace(plan, mix_matrix=p - 1 - np.arange(shape[0] * shape[1], dtype=np.int64).reshape(shape))
+    assert_same_session(plan, cp.database_for_plan(plan, seed=1))
