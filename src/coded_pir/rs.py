@@ -13,13 +13,15 @@ Decoding surfaces:
   known positions it solves the message around the erased ones with
   the code's own interpolation basis, and either verifies the surplus
   positions (erasures only) or, with ``correct=True``, corrects up to
-  floor((|known| - k) / 2) wrong ones.  Errors are located once, by
-  rational interpolation (Gao) on column 0; every other column is then
-  erasure-decoded on the positions column 0 got right, and only a
-  column that this contradicts gets its own Gao run.  Faults that hit
-  the same positions in every column, as a lying server's do, cost
-  one Gao run per call (interleaved decoding in the spirit of
-  Bleichenbacher, Kiayias and Yung, ICALP 2003).
+  floor((|known| - k) / 2) wrong ones.  Errors are located once, on
+  column 0: Berlekamp-Massey (Massey 1969) on Forney's erasure-modified
+  syndromes (Forney 1965) gives the error locator, whose roots among
+  the known positions are the error support.  Every column is then
+  erasure-decoded around that support, and only a column that this
+  contradicts gets its own locator.  Faults that hit the same
+  positions in every column, as a lying server's do, cost one locator
+  per call (interleaved decoding in the spirit of Bleichenbacher,
+  Kiayias and Yung, ICALP 2003).
 - :func:`erasure_complete` and :func:`error_correct` re-encode its
   message into the full codeword.
 - :func:`puncture` restricts a code to a subset of positions.
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import isqrt
+from operator import mul
 from typing import Mapping
 
 import numpy as np
@@ -84,6 +87,11 @@ class RsCode:
     def interpolation(self) -> tuple[np.ndarray, np.ndarray]:
         """(g0, basis) of the evaluation points, built once per code on first use."""
         return _interp_setup(self.p, self.eval_points)
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """Powers eval_points[j] ** i, i <= n - k: every syndrome row and evaluation slices it."""
+        return _vandermonde(self.eval_points, self.n - self.k + 1, self.p)
 
 
 def _vandermonde(points: np.ndarray, width: int, p: int) -> np.ndarray:
@@ -201,33 +209,6 @@ def _poly_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _poly_trim(exact.astype(np.int64))
 
 
-def _poly_sub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    width = max(len(a), len(b))
-    out = np.zeros(width, dtype=np.int64)
-    out[: len(a)] = a
-    out[: len(b)] = (out[: len(b)] - b) % p
-    return _poly_trim(out % p)
-
-
-def _poly_divmod(num: np.ndarray, den: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient and remainder over GF(p); den need not be monic."""
-    if len(den) == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    num = num.copy() % p
-    dd = len(den) - 1
-    if len(num) - 1 < dd:
-        return np.zeros(0, dtype=np.int64), _poly_trim(num)
-    lead_inv = pow(int(den[-1]), -1, p)
-    quot = np.zeros(len(num) - dd, dtype=np.int64)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = int(num[i]) % p
-        if c:
-            c = c * lead_inv % p
-            quot[i - dd] = c
-            num[i - dd : i + 1] = (num[i - dd : i + 1] - c * den) % p
-    return quot, _poly_trim(num[:dd])
-
-
 def _vanishing(points: np.ndarray, p: int) -> np.ndarray:
     """Coefficients of the monic prod(x - x_i) over the last axis of ``points``."""
     n = points.shape[-1]
@@ -277,49 +258,61 @@ def _interp_setup(p: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _locator(code: RsCode, erased: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lambda = prod(x - x_i) over the erased points: coefficients, and value at every point."""
-    p, points = code.p, code.eval_points
-    locator = _vanishing(points[erased], p)
-    return locator, _mat_mul_reduced(_vandermonde(points, len(locator), p), locator, p)
+    locator = _vanishing(code.eval_points[erased], code.p)
+    return locator, _mat_mul_reduced(code.powers[:, : len(locator)], locator, code.p)
 
 
-def _gao_decode_column(code: RsCode, received: np.ndarray, erased: np.ndarray) -> np.ndarray | None:
-    """Message of the codeword within floor((m - k) / 2) of the m known positions, or None.
+def _berlekamp_massey(seq: list[int], p: int) -> list[int]:
+    """Connection polynomial of the shortest linear recurrence of ``seq`` over GF(p).
 
-    On the known points, partial extended Euclid on (prod(x - x_i),
-    interpolant of the received word) stops at the first remainder of
-    degree below (m + k) / 2; the message polynomial is that remainder
-    divided by its Bezout cofactor (Gao; the Berlekamp-Welch system, but
-    quadratic).  Those two polynomials are the full code's g0 and the
-    interpolant of Lambda * y divided by the erasure locator Lambda, so
-    Euclid runs on the undivided ones: each remainder gains the factor
-    Lambda, and the quotients and cofactors stay the same.
+    Massey's shift-register synthesis: C, low degree first, with C[0] == 1
+    and len(C) - 1 the recurrence length L, so sum_l C[l] * seq[i - l]
+    vanishes for L <= i < len(seq).  In Python ints, since sums of
+    products of residues overflow int64 for the largest moduli.
+    """
+    conn, prev = [1], [1]
+    length, gap, last_inv = 0, 1, 1
+    rev, end = seq[::-1], len(seq)
+    for i in range(end):
+        d = sum(map(mul, conn, rev[end - 1 - i : end - i + length])) % p
+        if d == 0:
+            gap += 1
+            continue
+        scale = d * last_inv % p
+        update = conn + [0] * (gap + len(prev) - len(conn))
+        update[gap : gap + len(prev)] = [(c - scale * b) % p for c, b in zip(update[gap:], prev)]
+        if 2 * length <= i:
+            prev, length, last_inv, gap = conn, i + 1 - length, pow(d, -1, p), 1
+        else:
+            gap += 1
+        conn = update
+    return conn
+
+
+def _error_support(code: RsCode, column: np.ndarray, erased: np.ndarray) -> np.ndarray | None:
+    """Mask of the error positions of one column, or None when they cannot be located.
+
+    With u_j = 1 / g0'(x_j), row n - 1 of the code's basis, the syndromes
+    sum_j x_j^i u_j y_j (i < n - k) vanish on codewords.  Times the erasure
+    locator Lambda they become Forney's modified syndromes, one product:
+    T_m = sum_j x_j^m u_j Lambda(x_j) y_j for m < n - k - e.  Within the
+    radius, Berlekamp-Massey on T gives the error locator, whose reversal
+    vanishes exactly on the error support.  None when the locator is
+    longer than the radius or has fewer roots among the known positions.
     """
     p, n, k = code.p, code.n, code.k
-    e = len(erased)
-    radius = (n - e - k) // 2
-    if radius == 0:
-        message, wrong = _solve_around(code, received[:, None], erased)
-        return None if wrong[0] else message[:, 0]
-    locator, values = _locator(code, erased)
-    g0, basis = code.interpolation
-    r_prev, r = g0, _poly_trim(_mat_mul_reduced(basis, values * received % p, p))
-    v_prev, v = np.zeros(0, dtype=np.int64), np.array([1], dtype=np.int64)
-    while len(r) and 2 * (len(r) - 1 - e) >= n - e + k:
-        q, rem = _poly_divmod(r_prev, r, p)
-        v_prev, v = v, _poly_sub(v_prev, _poly_mul(q, v, p), p)
-        r_prev, r = r, rem
-    if len(v) == 0:
+    _, values = _locator(code, erased)
+    _, basis = code.interpolation
+    weighted = basis[n - 1] * values % p * column % p
+    syndromes = _mat_mul_reduced(code.powers[:, : n - k - len(erased)].T, weighted, p)
+    conn = _berlekamp_massey(syndromes.tolist(), p)
+    errors = len(conn) - 1
+    if 2 * errors > len(syndromes):
         return None
-    f, rem = _poly_divmod(r, _poly_mul(locator, v, p), p)
-    if len(rem) or len(f) > k:
-        return None
-    message = np.zeros(k, dtype=np.int64)
-    message[: len(f)] = f
-    wrong = _mat_mul_reduced(code.gen_t, message, p) != received
-    wrong[erased] = False
-    if int(np.count_nonzero(wrong)) > radius:
-        return None
-    return message
+    reversal = np.array(conn[::-1], dtype=np.int64)  # prod(x - x_j) over the errors
+    support = _mat_mul_reduced(code.powers[:, : errors + 1], reversal, p) == 0
+    support[erased] = False
+    return support if int(np.count_nonzero(support)) == errors else None
 
 
 def _series_inverse(mu: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -372,29 +365,35 @@ def _solve_around(
 def _correct_columns(code: RsCode, rows: np.ndarray, erased: np.ndarray) -> np.ndarray:
     """Message of every column of ``rows`` within the radius of the known positions.
 
-    Gao decodes column 0, whose error support E is where it and its
-    codeword differ, and every column is erasure-decoded around E and
-    ``erased``.  A column that fits a codeword there differs from it only
-    inside E, |E| is within the radius, so that is the codeword Gao would
-    return.  Columns that do not fit get their own Gao run in column
-    order, so the first column Gao refuses is the one that decoding
+    Column 0's error support E is located, and every column is
+    erasure-decoded around E and ``erased``.  A column that fits there
+    is within |E| <= radius of that codeword, so it is the unique one.
+    Each other column that does not fit is located on its own, in
+    column order, so the first column refused is the one that decoding
     every column in turn would name.
     """
     radius = (code.n - len(erased) - code.k) // 2
 
-    def gao(j: int) -> np.ndarray:
-        column = _gao_decode_column(code, rows[:, j], erased)
-        if column is None:
-            raise DecodingFailure(f"no codeword within {radius} errors of column {j}")
-        return column
+    def refusal(j: int) -> DecodingFailure:
+        return DecodingFailure(f"no codeword within {radius} errors of column {j}")
+
+    def locate(j: int) -> np.ndarray:
+        support = _error_support(code, rows[:, j], erased)
+        if support is None:
+            raise refusal(j)
+        support[erased] = True
+        return np.flatnonzero(support)
 
     if rows.shape[1] == 0:
         return np.zeros((code.k, 0), dtype=np.int64)
-    located = _mat_mul_reduced(code.gen_t, gao(0), code.p) != rows[:, 0]
-    located[erased] = True
-    message, wrong = _solve_around(code, rows, np.flatnonzero(located))
+    message, wrong = _solve_around(code, rows, locate(0))
+    if wrong[0]:
+        raise refusal(0)
     for j in np.flatnonzero(wrong):
-        message[:, j] = gao(int(j))
+        column, unfit = _solve_around(code, rows[:, j : j + 1], locate(int(j)))
+        if unfit[0]:
+            raise refusal(int(j))
+        message[:, j] = column[:, 0]
     return message
 
 
@@ -404,7 +403,7 @@ def error_correct(code: RsCode, received) -> np.ndarray:
     Each column of a matrix input comes back as decoding it on its own
     would return it (errors in a row vector may hit any subset of its
     coordinates).  The errors are located on column 0; a column whose
-    errors lie elsewhere costs one more rational interpolation.  Raises
+    errors lie elsewhere costs one more error locator.  Raises
     DecodingFailure when some column has no codeword within the radius.
     """
     cols, vector = _as_columns(code, received)

@@ -106,7 +106,7 @@ def bw_decode_column(code, received, radius=None):
         return None
     q_poly = rs._poly_trim(sol[: k + radius])
     e_poly = np.concatenate([sol[k + radius :], [1]])
-    quot, rem = rs._poly_divmod(q_poly, e_poly, p)
+    quot, rem = _poly_divmod(q_poly, e_poly, p)
     if len(rem):
         return None
     message = np.zeros(k, dtype=np.int64)
@@ -115,6 +115,98 @@ def bw_decode_column(code, received, radius=None):
     if int(np.count_nonzero((word - received) % p)) > radius:
         return None
     return word
+
+
+# --- Reed-Solomon: Gao's partial Euclid --------------------------------------------
+
+
+def _poly_sub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    width = max(len(a), len(b))
+    out = np.zeros(width, dtype=np.int64)
+    out[: len(a)] = a
+    out[: len(b)] = (out[: len(b)] - b) % p
+    return rs._poly_trim(out % p)
+
+
+def _poly_divmod(num: np.ndarray, den: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder over GF(p); den need not be monic."""
+    if len(den) == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    num = num.copy() % p
+    dd = len(den) - 1
+    if len(num) - 1 < dd:
+        return np.zeros(0, dtype=np.int64), rs._poly_trim(num)
+    lead_inv = pow(int(den[-1]), -1, p)
+    quot = np.zeros(len(num) - dd, dtype=np.int64)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = int(num[i]) % p
+        if c:
+            c = c * lead_inv % p
+            quot[i - dd] = c
+            num[i - dd : i + 1] = (num[i - dd : i + 1] - c * den) % p
+    return quot, rs._poly_trim(num[:dd])
+
+
+def gao_decode_column(code, received: np.ndarray, erased: np.ndarray):
+    """Message of the codeword within floor((m - k) / 2) of the m known positions, or None.
+
+    On the known points, partial extended Euclid on (prod(x - x_i),
+    interpolant of the received word) stops at the first remainder of
+    degree below (m + k) / 2; the message polynomial is that remainder
+    divided by its Bezout cofactor (Gao; the Berlekamp-Welch system, but
+    quadratic).  Those two polynomials are the full code's g0 and the
+    interpolant of Lambda * y divided by the erasure locator Lambda, so
+    Euclid runs on the undivided ones: each remainder gains the factor
+    Lambda, and the quotients and cofactors stay the same.
+    """
+    p, n, k = code.p, code.n, code.k
+    e = len(erased)
+    radius = (n - e - k) // 2
+    if radius == 0:
+        message, wrong = rs._solve_around(code, received[:, None], erased)
+        return None if wrong[0] else message[:, 0]
+    locator, values = rs._locator(code, erased)
+    g0, basis = code.interpolation
+    r_prev, r = g0, rs._poly_trim(gf._mat_mul_reduced(basis, values * received % p, p))
+    v_prev, v = np.zeros(0, dtype=np.int64), np.array([1], dtype=np.int64)
+    while len(r) and 2 * (len(r) - 1 - e) >= n - e + k:
+        q, rem = _poly_divmod(r_prev, r, p)
+        v_prev, v = v, _poly_sub(v_prev, rs._poly_mul(q, v, p), p)
+        r_prev, r = r, rem
+    if len(v) == 0:
+        return None
+    f, rem = _poly_divmod(r, rs._poly_mul(locator, v, p), p)
+    if len(rem) or len(f) > k:
+        return None
+    message = np.zeros(k, dtype=np.int64)
+    message[: len(f)] = f
+    wrong = gf._mat_mul_reduced(code.gen_t, message, p) != received
+    wrong[erased] = False
+    if int(np.count_nonzero(wrong)) > radius:
+        return None
+    return message
+
+
+def gao_recover_message(code, known: Mapping[int, object]) -> np.ndarray:
+    """``rs.recover_message(code, known, correct=True)``, one Gao run per column.
+
+    Raises the library's DecodingFailure, naming the first column that
+    has no codeword within the radius of the known positions.
+    """
+    positions = sorted(known)
+    values = gf.as_field([known[i] for i in positions], code.p)
+    vector = values.ndim == 1
+    rows = np.zeros((code.n, 1 if vector else values.shape[1]), dtype=np.int64)
+    rows[positions] = values[:, None] if vector else values
+    erased = np.delete(np.arange(code.n), positions)
+    radius = (len(positions) - code.k) // 2
+    message = np.zeros((code.k, rows.shape[1]), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        column = gao_decode_column(code, rows[:, j], erased)
+        if column is None:
+            raise rs.DecodingFailure(f"no codeword within {radius} errors of column {j}")
+        message[:, j] = column
+    return message[:, 0] if vector else message
 
 
 # --- storage and shared queries ---------------------------------------------------

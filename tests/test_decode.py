@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,27 +257,52 @@ def test_pattern_with_unqueried_server():
 # --- interleaved error location ---------------------------------------------------
 
 
-@pytest.mark.parametrize("liars, gao_columns", [((3,), 2), ((0, 5), 1)])
-def test_byzantine_decode_locates_errors_once_per_code(byz_plan, monkeypatch, liars, gao_columns):
-    # One liar: Gao runs on column 0 of the big code and of the batched
-    # small-code chunks, once each; two liars already fail on the big code.
+@pytest.mark.parametrize("liars, located_columns", [((3,), 2), ((0, 5), 1)])
+def test_byzantine_decode_locates_errors_once_per_code(byz_plan, monkeypatch, liars, located_columns):
+    # One liar: the error locator runs on column 0 of the big code and of
+    # the batched small-code chunks, once each; two liars already fail on
+    # the big code.
     db = cp.database_for_plan(byz_plan, seed=17)
     tr = cp.run_session(byz_plan, db, adversary=cp.Adversary(byzantine_set=liars, seed=1))
     calls = []
-    gao = rs._gao_decode_column
+    locate = rs._error_support
 
-    def counted(code, word, erased):
+    def counted(code, column, erased):
         calls.append(code.n)
-        return gao(code, word, erased)
+        return locate(code, column, erased)
 
-    monkeypatch.setattr(rs, "_gao_decode_column", counted)
+    monkeypatch.setattr(rs, "_error_support", counted)
     if len(liars) == 1:
         assert np.array_equal(cp.reconstruct(byz_plan, tr)[0], db.files[0])
     else:
         with pytest.raises(cp.DecodingFailure):
             cp.reconstruct(byz_plan, tr)
-    assert len(calls) == gao_columns
-    assert len(set(calls)) == gao_columns  # one column per code
+    assert len(calls) == located_columns
+    assert len(set(calls)) == located_columns  # one column per code
+
+
+def test_byzantine_decode_leaves_numpy_ma_unimported():
+    # numpy.ma costs about 1 MB of peak RSS, and on numpy 2.4 some set
+    # routines (np.union1d) import it lazily; the decoder unions supports
+    # in a position mask instead.
+    script = (
+        "import sys\n"
+        "import coded_pir as cp\n"
+        "params = cp.SchemeParams(variant='byzantine', n_servers=8, code_dim=2, n_files=2,\n"
+        "                         desired=(0,), collusion_size=2, b_byzantine=1, seed=7)\n"
+        "plan = cp.build_plan(params)\n"
+        "db = cp.database_for_plan(plan, seed=17)\n"
+        "tr = cp.run_session(plan, db, adversary=cp.Adversary(byzantine_set=(3,), seed=1))\n"
+        "assert (cp.reconstruct(plan, tr)[0] == db.files[0]).all()\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_batched_chunks_name_the_failing_column_within_its_chunk():

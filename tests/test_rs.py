@@ -311,6 +311,68 @@ def test_interleaved_decoding_matches_per_column_reference(case, correct):
         assert np.array_equal(rs.encode(sub, message), np.stack(words, axis=1))
 
 
+@st.composite
+def _located_words(draw):
+    """A code, known positions and received words for the error locator.
+
+    Column 0 is wrong on ``errors`` known positions, drawn below, at or
+    above the radius; each other column is wrong on a subset of that
+    support or, when ``stray``, on its own support, which may fall
+    outside it.  ``erased`` leaves some positions unknown.
+    """
+    p = draw(st.sampled_from([2, 3, 13, 65537, 3037000493]))
+    n = draw(st.integers(1, min(p - 1, 24)))
+    k = draw(st.integers(1, n))
+    erased = draw(st.booleans()) and n > k
+    m = draw(st.integers(k, n - 1)) if erased else n
+    code = rs.rs_transposed_generator(n, k, p)
+    known = sorted(draw(st.permutations(range(n)))[:m])
+    radius = (m - k) // 2
+    where = draw(st.sampled_from(["below", "at", "above"]))
+    errors = {
+        "below": draw(st.integers(0, max(radius - 1, 0))),
+        "at": radius,
+        "above": min(m, radius + draw(st.integers(1, 2))),
+    }[where]
+    stray = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = int(rng.integers(1, 5))
+    word = rs.encode(code, rng.integers(0, p, (k, width)))
+    support = _support(rng, m, errors)
+    for j in range(width):
+        if j == 0:
+            hit = support
+        elif stray:
+            hit = _support(rng, m, int(rng.integers(0, m + 1)))
+        else:
+            hit = support[rng.random(errors) < 0.5]
+        rows = [known[i] for i in hit]
+        word[rows, j] = (word[rows, j] + rng.integers(1, p, len(rows))) % p
+    return code, {i: word[i] for i in known}
+
+
+def _outcome(decode):
+    try:
+        return "message", decode()
+    except rs.CodingError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=_located_words())
+def test_error_locator_matches_gao_oracle(case):
+    # Syndromes and Berlekamp-Massey against one Gao run per column: the
+    # same message, or the same refusal naming the same column.
+    code, known = case
+    got = _outcome(lambda: rs.recover_message(code, known, correct=True))
+    want = _outcome(lambda: oracles.gao_recover_message(code, known))
+    assert got[0] == want[0]
+    if got[0] == "message":
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
 def test_interleaved_decoding_zero_width_and_single_column():
     code = rs.rs_transposed_generator(9, 3, 13)
     empty = {i: np.zeros(0, dtype=np.int64) for i in range(9)}
