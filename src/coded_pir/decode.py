@@ -151,10 +151,11 @@ def _recover_batch(
     for i, known in enumerate(words):
         batches.setdefault(tuple(known), []).append(i)
     messages: list[np.ndarray] = [np.empty(0)] * len(words)
-    for batch in batches.values():
-        stacked = {s: np.concatenate([words[i][s] for i in batch]) for s in words[batch[0]]}
+    for positions, batch in batches.items():
+        # one row per known position, the batch's words side by side
+        stacked = np.hstack([list(words[i].values()) for i in batch]) if positions else ()
         try:
-            message = rs.recover_message(code, stacked, correct)
+            message = rs.recover_message(code, dict(zip(positions, stacked)), correct)
         except rs.DecodingFailure:
             if len(batch) > 1:
                 for i in batch:

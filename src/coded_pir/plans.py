@@ -13,10 +13,12 @@ sums atom ``atom_start[f] + s`` of each labelled file f (times the
 block's mixing entry on multifile); it is derived, never stored.
 
 Construction, validation, the privacy audit (``rates``), decoding and
-the plan JSON all read the one layout.  The v1 JSON's ``array``,
-``blocks`` and ``groups`` fields are emitted from it, and a loaded plan
-must agree with the layout its parameters give.  Identical (params,
-seed) pairs produce bit-identical plans on every platform.
+the plan JSON all read the one layout.  The plan JSON (v2) stores only
+the parameters, the masks and the mixing matrix; the layout and the
+atoms are derived again on load.  A v1 document, which also stores the
+bookkeeping and the atoms, still loads if they agree with what the
+parameters and masks give.  Identical (params, seed) pairs produce
+bit-identical plans on every platform.
 
 Variant summary, writing g = alpha + beta, b = number of assisting-array
 symbols, b_T = C(N-T,K), b_S = C(N-S,K), e_B = 2*C(N-B,K) - C(N,K):
@@ -30,6 +32,7 @@ symbols, b_T = C(N-T,K), b_S = C(N-S,K), e_B = 2*C(N-B,K) - C(N,K):
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -325,7 +328,6 @@ class Query:
 class QueryPlan:
     params: SchemeParams
     layout: Layout
-    atom_coeffs: tuple[np.ndarray, ...]
     masks: tuple[np.ndarray, ...]
     mix_matrix: np.ndarray | None
 
@@ -360,6 +362,16 @@ class QueryPlan:
     @property
     def n_symbols(self) -> int:
         return self.array.n_symbols
+
+    @cached_property
+    def atom_coeffs(self) -> tuple[np.ndarray, ...]:
+        """Every file's atom coefficients: its chunk generators times its mask rows.
+
+        ``build_plan`` fills this as it builds; any other plan derives
+        them here, once, on first use.
+        """
+        p = self.params.modulus
+        return tuple(_atom_matrix(chunks, mask, p) for chunks, mask in zip(self.layout.chunks, self.masks))
 
     @cached_property
     def mask_factors(self) -> dict[int, Factored]:
@@ -585,13 +597,8 @@ def build_plan(params: SchemeParams) -> QueryPlan:
         # of its M columns are independent.
         h_base = rs.rs_transposed_generator(m, params.p_desired, p).gen_t.T
         mix_matrix = h_base[:, rng.permutation(m)].copy()
-    plan = QueryPlan(
-        params=params,
-        layout=layout,
-        atom_coeffs=tuple(_atom_matrix(layout.chunks[f], masks[f], p) for f in range(m)),
-        masks=tuple(masks),
-        mix_matrix=mix_matrix,
-    )
+    plan = QueryPlan(params=params, layout=layout, masks=tuple(masks), mix_matrix=mix_matrix)
+    _ = plan.atom_coeffs  # derived inside the build, not on the first session
     plan.__dict__["mask_factors"] = mask_factors  # fills the cached_property
     return plan
 
@@ -599,32 +606,31 @@ def build_plan(params: SchemeParams) -> QueryPlan:
 def validate_plan(plan: QueryPlan) -> list[str]:
     """Check what the layout does not guarantee; return the violations found.
 
-    The layout and the queries derived from it and the atoms hold by
-    construction (``plan_from_json`` refuses stored bookkeeping that
-    differs).  What is left: the parameters, and the two premises of the
-    privacy audit's rank count (module ``rates``): every mask is
-    invertible, and every file's stored atom coefficients are its chunk
-    generators times its mask rows.
+    The layout, the queries and the atoms are derived from the
+    parameters and masks, so they hold by construction (``plan_from_json``
+    refuses a v1 document whose stored bookkeeping or atoms differ).
+    What is left: the parameters, and the one premise of the privacy
+    audit's rank count (module ``rates``) that construction does not
+    give a loaded plan: every mask is invertible.
     """
     params = plan.params
     try:
         params.validate()
     except PreconditionViolated as exc:
         return [f"params: {exc}"]
-    out: list[str] = []
     p, l_rows = params.modulus, plan.l_rows
-    for f in range(params.n_files):
-        mask = plan.masks[f]
-        if mask.shape != (l_rows, l_rows) or mat_rank(mask, p) != l_rows:
-            out.append(f"mask of file {f} is not invertible")
-        elif not np.array_equal(_atom_matrix(plan.layout.chunks[f], mask, p), plan.atom_coeffs[f]):
-            out.append(f"atom matrix for file {f} is not its chunk generators times its mask rows")
-    return out
+    return [
+        f"mask of file {f} is not invertible"
+        for f in range(params.n_files)
+        if plan.masks[f].shape != (l_rows, l_rows) or mat_rank(plan.masks[f], p) != l_rows
+    ]
 
 
 # --- canonical JSON serialization -------------------------------------------
 
-_SCHEMA = "coded-pir-plan/1"
+_SCHEMA = "coded-pir-plan/2"
+_SCHEMA_V1 = "coded-pir-plan/1"
+_FIELDS = {"schema", "params", "masks", "mix_matrix"}
 
 
 def params_to_dict(params: SchemeParams) -> dict:
@@ -666,7 +672,7 @@ def params_from_dict(data: dict) -> SchemeParams:
 
 
 def _bookkeeping(params: SchemeParams, layout: Layout) -> dict:
-    """The v1 plan JSON fields that the layout determines, emitted from it.
+    """The v1 plan JSON fields that the layout determines, as the layout gives them.
 
     A block's ``desired_rows`` are the mask rows of the desired file's
     chunk behind its atoms, when that chunk has a code.
@@ -772,18 +778,22 @@ def _compact(value) -> str:
 
 
 def plan_to_json(plan: QueryPlan) -> str:
-    """Canonical JSON for golden-plan diffs; loadable by plan_from_json.
+    """Canonical v2 JSON for golden-plan diffs; loadable by plan_from_json.
 
     The text is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
-    of the v1 document, but the masks, atom coefficients and mixing
-    matrix are written by ``_matrix_json`` instead of through Python lists.
+    of ``{schema, params, masks, mix_matrix}``.  ``masks`` is base64 of
+    every file's L x L mask as little-endian uint32, row-major, file after
+    file (every modulus is below 2**32); ``mix_matrix`` is written by
+    ``_matrix_json``, or null off multifile.
     """
+    p, shape = plan.params.modulus, (plan.params.n_files, plan.l_rows, plan.l_rows)
+    masks = np.stack(plan.masks)
+    if masks.shape != shape or masks.min() < 0 or masks.max() >= p:
+        raise SchemeError(f"plan masks are not {shape[0]} matrices {shape[1]} x {shape[2]} over [0, {p})")
     fields = {
         "schema": _compact(_SCHEMA),
         "params": _compact(params_to_dict(plan.params)),
-        **{k: _compact(v) for k, v in _bookkeeping(plan.params, plan.layout).items()},
-        "atom_coeffs": _matrices_json(plan.atom_coeffs),
-        "masks": _matrices_json(plan.masks),
+        "masks": '"' + base64.b64encode(masks.astype("<u4").tobytes()).decode("ascii") + '"',
         "mix_matrix": "null" if plan.mix_matrix is None else _matrix_json(plan.mix_matrix),
     }
     return _json_object(fields)
@@ -807,6 +817,9 @@ def _stored_matrix(value, name: str, shape: tuple[int, int] | None, p: int, erro
         if a.dtype.kind == "f" or (a.dtype.kind == "O" and all(type(x) is int for x in a.flat)):
             raise error(f"{name} has entries outside [0, {p})")
         raise error(f"{name} has non-integer entries")
+    # numpy reads true and false among integers as 1 and 0
+    if a.size and any(bool in set(map(type, row)) for row in value):
+        raise error(f"{name} has non-integer entries")
     if a.size and (a.min() < 0 or a.max() >= p):
         raise error(f"{name} has entries outside [0, {p})")
     return a.astype(np.int64, copy=False)
@@ -819,29 +832,53 @@ def _stored_matrices(doc: dict, name: str, shapes: list[tuple[int, int]], p: int
     return tuple(_stored_matrix(v, f"{name}[{i}]", s, p) for i, (v, s) in enumerate(zip(value, shapes)))
 
 
-def plan_from_json(text: str) -> QueryPlan:
-    """Load a plan: the layout is derived again from the stored parameters.
+def _stored_masks(value, m: int, l_rows: int, p: int) -> tuple[np.ndarray, ...]:
+    """The v2 ``masks``: strict base64 of exactly m L x L little-endian uint32 masks, entries below p."""
+    if not isinstance(value, str):
+        raise SchemeError("masks must be a base64 string")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:
+        raise SchemeError(f"masks is not base64: {exc}") from None
+    if len(raw) != 4 * m * l_rows * l_rows:
+        raise SchemeError(
+            f"masks holds {len(raw)} bytes, not the {4 * m * l_rows * l_rows} of {m} uint32 masks {l_rows} x {l_rows}"
+        )
+    masks = np.frombuffer(raw, dtype="<u4").reshape(m, l_rows, l_rows)
+    if masks.max() >= p:
+        raise SchemeError(f"masks has entries outside [0, {p})")
+    return tuple(masks.astype(np.int64))
 
-    Stored bookkeeping that disagrees with that layout raises SchemeError,
-    and so does any stored matrix that is not integers in [0, p) of the
-    layout's shape: one mask (L x L) and one atom matrix (atoms x L) per
-    file, and a mixing matrix (P x M) exactly when the variant is
-    multifile.  The v1 document stores every file's atom coefficients;
-    they are read as stored, not derived from the masks, and
-    ``validate_plan`` checks them against the masks.  No query is
-    assembled.
+
+def plan_from_json(text: str) -> QueryPlan:
+    """Load a v2 or v1 plan; its layout and atoms are derived from the stored params and masks.
+
+    A v2 document must hold exactly ``schema``, ``params``, ``masks``
+    and ``mix_matrix``.  A v1 document's bookkeeping and atom
+    coefficients must equal those derived, or SchemeError names them.
+    Either way SchemeError refuses masks that are not integers in [0, p)
+    of shape L x L, one per file, and a mixing matrix that is not P x M
+    integers in [0, p) exactly when the variant is multifile.  No query
+    is assembled, and a v2 plan derives its atoms on first use.
     """
     doc = json.loads(text, parse_float=_refuse_float)
-    if doc.get("schema") != _SCHEMA:
-        raise SchemeError(f"unknown plan schema {doc.get('schema')!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema not in (_SCHEMA, _SCHEMA_V1):
+        raise SchemeError(f"unknown plan schema {schema!r}")
+    v1 = schema == _SCHEMA_V1
+    if not v1 and set(doc) != _FIELDS:
+        raise SchemeError(f"a {_SCHEMA} plan has the fields {sorted(doc)}, not {sorted(_FIELDS)}")
     params = params_from_dict(doc["params"])
     layout = derive_layout(params)
-    wrong = [key for key, value in _bookkeeping(params, layout).items() if doc.get(key) != value]
-    if wrong:
-        raise SchemeError(f"stored {', '.join(wrong)} disagree with the layout of the parameters")
     p, m, l_rows = params.modulus, params.n_files, layout.l_rows
-    atom_coeffs = _stored_matrices(doc, "atom_coeffs", [(c[-1].atoms[1], l_rows) for c in layout.chunks], p)
-    masks = _stored_matrices(doc, "masks", [(l_rows, l_rows)] * m, p)
+    if v1:
+        wrong = [key for key, value in _bookkeeping(params, layout).items() if doc.get(key) != value]
+        if wrong:
+            raise SchemeError(f"stored {', '.join(wrong)} disagree with the layout of the parameters")
+        atoms = _stored_matrices(doc, "atom_coeffs", [(c[-1].atoms[1], l_rows) for c in layout.chunks], p)
+        masks = _stored_matrices(doc, "masks", [(l_rows, l_rows)] * m, p)
+    else:
+        masks = _stored_masks(doc["masks"], m, l_rows, p)
     mix = doc.get("mix_matrix")
     if params.variant is Variant.MULTI_FILE:
         if mix is None:
@@ -849,4 +886,9 @@ def plan_from_json(text: str) -> QueryPlan:
         mix = _stored_matrix(mix, "mix_matrix", (params.p_desired, m), p)
     elif mix is not None:
         raise SchemeError(f"mix_matrix is stored on a {params.variant.value} plan")
-    return QueryPlan(params=params, layout=layout, atom_coeffs=atom_coeffs, masks=masks, mix_matrix=mix)
+    plan = QueryPlan(params=params, layout=layout, masks=masks, mix_matrix=mix)
+    if v1:
+        wrong = [f"atom_coeffs[{f}]" for f, a in enumerate(atoms) if not np.array_equal(a, plan.atom_coeffs[f])]
+        if wrong:
+            raise SchemeError(f"stored {', '.join(wrong)} are not the chunk generators times the mask rows")
+    return plan

@@ -22,9 +22,10 @@ premises:
 - every mask is invertible: ``sample_invertible`` draws it so at build
   time, keeping only draws whose factorization has full rank, and
   ``plans.validate_plan`` re-checks it for a loaded plan;
-- every chunk is its MDS generator times its mask rows:
-  ``build_plan`` constructs it so (Reed-Solomon generators are MDS), and
-  ``validate_plan`` recomputes every product.
+- every chunk is its MDS generator times its mask rows: a plan derives
+  its atoms so (``QueryPlan.atom_coeffs``; Reed-Solomon generators are
+  MDS), and ``plans.plan_from_json`` refuses a v1 document whose stored
+  atoms differ.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Every feasible small parameter set, per variant, shared by property tests."""
 
+from dataclasses import replace
 from math import comb
+
+from hypothesis import strategies as st
 
 import coded_pir as cp
 
@@ -43,3 +46,12 @@ def _small_feasible_shapes(max_rows=120):
 
 
 SMALL_FEASIBLE = _small_feasible_shapes()
+
+
+@st.composite
+def feasible_params(draw):
+    """One small feasible parameter set, with a drawn desired file and plan seed."""
+    params = draw(st.sampled_from(SMALL_FEASIBLE[draw(st.sampled_from(sorted(SMALL_FEASIBLE)))]))
+    if params.variant is not cp.Variant.MULTI_FILE:
+        params = replace(params, desired=(draw(st.integers(0, params.n_files - 1)),))
+    return replace(params, seed=draw(st.integers(0, 2**16)))

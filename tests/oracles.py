@@ -5,6 +5,7 @@ production code computes another way, so a disagreement points at one
 of the two.
 """
 
+import base64
 import json
 from itertools import combinations
 from typing import Mapping
@@ -292,13 +293,29 @@ def matrix_json(a) -> str:
 
 
 def plan_json(plan) -> str:
-    """The v1 plan document built from Python lists and dumped in one call."""
+    """The v1 plan document built from Python lists and dumped in one call.
+
+    The library writes v2 only; v1 documents, with their bookkeeping and
+    every atom coefficient, come from here.
+    """
     doc = {
-        "schema": plans._SCHEMA,
+        "schema": "coded-pir-plan/1",
         "params": plans.params_to_dict(plan.params),
         **plans._bookkeeping(plan.params, plan.layout),
         "atom_coeffs": [a.tolist() for a in plan.atom_coeffs],
         "masks": [s.tolist() for s in plan.masks],
+        "mix_matrix": None if plan.mix_matrix is None else plan.mix_matrix.tolist(),
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def plan_json_v2(plan) -> str:
+    """The v2 plan document: the mask bytes packed one Python int at a time."""
+    packed = b"".join(int(x).to_bytes(4, "little") for mask in plan.masks for x in mask.ravel().tolist())
+    doc = {
+        "schema": "coded-pir-plan/2",
+        "params": plans.params_to_dict(plan.params),
+        "masks": base64.b64encode(packed).decode("ascii"),
         "mix_matrix": None if plan.mix_matrix is None else plan.mix_matrix.tolist(),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

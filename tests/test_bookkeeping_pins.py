@@ -1,14 +1,15 @@
 """Plan bookkeeping pinned over the whole small feasible space, per variant.
 
-Each entry is the SHA-256 of the plan JSON, without its ``masks``,
-``atom_coeffs`` and ``mix_matrix``, of every feasible parameter set with
-N <= 6, M <= 3, L <= 120 (``feasible.SMALL_FEASIBLE``), one line per plan.
+Each entry is the SHA-256 of the v1 plan JSON (``oracles.plan_json``),
+without its ``masks``, ``atom_coeffs`` and ``mix_matrix``, of every
+feasible parameter set with N <= 6, M <= 3, L <= 120
+(``feasible.SMALL_FEASIBLE``), one line per plan.
 Single-file variants are built once per desired file; the pattern entry
 covers the pentagon instance with each desired file.  What is left is
 everything the parameters fix on their own: alpha, beta, l_rows, the
 assisting array, the blocks, the groups and the code shapes.
 
-Regenerate the table with ``PYTHONPATH=src python tests/test_bookkeeping_pins.py``
+Regenerate the table with ``PYTHONPATH=src:tests python tests/test_bookkeeping_pins.py``
 only when a change is meant to alter plan bookkeeping.
 """
 
@@ -21,6 +22,7 @@ import pytest
 import coded_pir as cp
 from conftest import pattern_params
 from feasible import SMALL_FEASIBLE
+from oracles import plan_json
 
 RANDOM_FIELDS = ("masks", "atom_coeffs", "mix_matrix")
 
@@ -38,7 +40,7 @@ def parameter_sets(variant):
 
 
 def bookkeeping(params):
-    doc = json.loads(cp.plan_to_json(cp.build_plan(params)))
+    doc = json.loads(plan_json(cp.build_plan(params)))
     for key in RANDOM_FIELDS:
         del doc[key]
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import os
 import subprocess
 import sys
@@ -414,10 +413,11 @@ def test_loaded_plan_with_singular_desired_mask_fails_at_decode_time():
     plan = cp.build_plan(prototype_params())
     db = cp.database_for_plan(plan, seed=5)
     tr = cp.run_session(plan, db)
-    doc = json.loads(cp.plan_to_json(plan))
     (des,) = plan.params.desired
-    doc["masks"][des][1] = doc["masks"][des][0]
-    loaded = cp.plan_from_json(json.dumps(doc))
+    masks = list(plan.masks)
+    masks[des] = masks[des].copy()
+    masks[des][1] = masks[des][0]
+    loaded = cp.plan_from_json(cp.plan_to_json(dataclasses.replace(plan, masks=tuple(masks))))
     with pytest.raises(cp.DecodingFailure, match="^matrix is singular$"):
         cp.reconstruct(loaded, tr)
 

@@ -1,5 +1,7 @@
-"""Plan and database JSON: the exact integer-matrix writer and the loader's refusals."""
+"""Plan and database JSON: the exact integer-matrix writer, v1 and v2 plan
+documents against their list-based oracles, and the loader's refusals."""
 
+import base64
 import json
 
 import numpy as np
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 import coded_pir as cp
 from coded_pir.plans import _matrix_json
 from conftest import FACTORIES, multifile_params, robust_params
-from oracles import matrix_json, plan_json
+from feasible import feasible_params
+from oracles import matrix_json, plan_json, plan_json_v2
+from test_plan_pins import SCALE_PARAMS
 
 # --- the writer against json.dumps(a.tolist()) -----------------------------------
 
@@ -49,8 +53,7 @@ def test_matrix_json_matches_json_dumps(a):
 @pytest.mark.parametrize("seed", [3, 8, 21])
 def test_plan_to_json_matches_list_document(name, seed):
     plan = cp.build_plan(FACTORIES[name](seed=seed))
-    assert (plan.mix_matrix is not None) == (name == "multifile")
-    assert cp.plan_to_json(plan) == plan_json(plan)
+    assert cp.plan_to_json(plan) == plan_json_v2(plan)
 
 
 def test_database_to_json_matches_list_document():
@@ -58,6 +61,49 @@ def test_database_to_json_matches_list_document():
     want = json.dumps({"p": db.p, "files": [f.tolist() for f in db.files]},
                       sort_keys=True, separators=(",", ":"))
     assert cp.database_to_json(db) == want
+
+
+# --- v1 (oracle) and v2 (library) documents load to the built plan -----------------
+
+
+def assert_v1_and_v2_load_the_built_plan(plan, adversary=None):
+    """Both documents give the built plan's masks, atoms and mixing matrix,
+    decode the built plan's session to the same files, and re-dump to the
+    built plan's v2 bytes."""
+    v2 = cp.plan_to_json(plan)
+    db = cp.database_for_plan(plan, seed=11)
+    transcript = cp.run_session(plan, db, adversary=adversary)
+    for text in (plan_json(plan), v2):
+        loaded = cp.plan_from_json(text)
+        assert ("atom_coeffs" in loaded.__dict__) == (text != v2)  # v2 derives them on first use
+        for name in ("masks", "atom_coeffs"):
+            got, want = getattr(loaded, name), getattr(plan, name)
+            assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want)), name
+        assert (loaded.mix_matrix is None) == (plan.mix_matrix is None)
+        assert plan.mix_matrix is None or np.array_equal(loaded.mix_matrix, plan.mix_matrix)
+        files = cp.reconstruct(loaded, transcript)
+        assert sorted(files) == list(plan.params.desired)
+        assert all(np.array_equal(files[f], db.files[f]) for f in files)
+        assert cp.plan_to_json(loaded) == v2
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+@pytest.mark.parametrize("seed", [3, 8])
+def test_v1_and_v2_load_the_built_plan(name, seed):
+    plan = cp.build_plan(FACTORIES[name](seed=seed))
+    assert (plan.mix_matrix is not None) == (name == "multifile")
+    liar = cp.Adversary(byzantine_set=(2,), seed=seed) if name == "byzantine" else None
+    assert_v1_and_v2_load_the_built_plan(plan, liar)
+
+
+def test_v1_and_v2_load_the_built_scale_plan():
+    assert_v1_and_v2_load_the_built_plan(cp.build_plan(cp.SchemeParams(**SCALE_PARAMS)))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(params=feasible_params())
+def test_v1_and_v2_load_drawn_plans(params):
+    assert_v1_and_v2_load_the_built_plan(cp.build_plan(params))
 
 
 # --- the loader refuses malformed matrices, naming the field -----------------------
@@ -90,6 +136,7 @@ def _delete(key):
 
 
 P = 65537
+# v1 documents from the oracle writer.
 # case: (plan, edit, message the SchemeError must match); robust plans have M=2, L=100
 CASES = {
     "float entry": ("robust", _set(("masks", 0, 0, 0), 1.5), "non-integer number 1.5"),
@@ -97,6 +144,9 @@ CASES = {
     "string entry": ("robust", _set(("masks", 0, 0, 0), "7"), r"masks\[0\] has non-integer entries"),
     "null entry": ("robust", _set(("atom_coeffs", 1, 2, 3), None), r"atom_coeffs\[1\] has non-integer entries"),
     "all-boolean matrix": ("robust", _set(("masks", 1), [[True] * 100] * 100), r"masks\[1\] has non-integer entries"),
+    "booleans among integers": ("robust", _set(("masks", 0, 0, slice(0, 2)), [True, False]), r"masks\[0\] has non-integer entries"),
+    "boolean atom entry": ("robust", _set(("atom_coeffs", 1, 4, 7), False), r"atom_coeffs\[1\] has non-integer entries"),
+    "changed atom entry": ("robust", _set(("atom_coeffs", 1, 4, 7), 0), r"stored atom_coeffs\[1\] are not the chunk generators times the mask rows"),
     "ragged rows": ("robust", _pop(("masks", 0, 1)), r"masks\[0\] has ragged rows"),
     "entry 2**70": ("robust", _set(("masks", 0, 0, 0), 2**70), rf"masks\[0\] has entries outside \[0, {P}\)"),
     "entry 2**64-1": ("robust", _set(("masks", 0, 0, 0), 2**64 - 1), rf"masks\[0\] has entries outside \[0, {P}\)"),
@@ -115,21 +165,69 @@ CASES = {
 }
 
 
+def _set_mask_bytes(edit_bytes):
+    def edit(doc):
+        doc["masks"] = base64.b64encode(edit_bytes(base64.b64decode(doc["masks"]))).decode("ascii")
+    return edit
+
+
+# v2 documents from the library writer; masks: two 100 x 100 uint32 masks, 80000 bytes.
+V2_CASES = {
+    "unknown schema": ("robust", _set(("schema",), "coded-pir-plan/3"), "unknown plan schema 'coded-pir-plan/3'"),
+    "no schema": ("robust", _delete("schema"), "unknown plan schema None"),
+    "extra field": ("robust", _set(("atom_coeffs",), []), r"has the fields \['atom_coeffs', 'masks', 'mix_matrix', 'params', 'schema'\]"),
+    "v1 field": ("robust", _set(("l_rows",), 100), r"has the fields \['l_rows', 'masks'"),
+    "masks missing": ("robust", _delete("masks"), r"has the fields \['mix_matrix', 'params', 'schema'\]"),
+    "params missing": ("robust", _delete("params"), r"has the fields \['masks', 'mix_matrix', 'schema'\]"),
+    "masks a list": ("robust", _set(("masks",), [[1]]), "masks must be a base64 string"),
+    "masks not base64": ("robust", lambda doc: doc.update(masks="*" + doc["masks"][1:]), "masks is not base64"),
+    "masks with a newline": ("robust", lambda doc: doc.update(masks=doc["masks"][:8] + "\n" + doc["masks"][8:]), "masks is not base64"),
+    "masks unpadded": ("robust", lambda doc: doc.update(masks=doc["masks"][:-1]), "masks is not base64"),
+    "masks non-ascii": ("robust", lambda doc: doc.update(masks="é" + doc["masks"][1:]), "masks is not base64"),
+    "masks four bytes short": ("robust", _set_mask_bytes(lambda b: b[:-4]), "masks holds 79996 bytes, not the 80000"),
+    "masks one mask long": ("robust", _set_mask_bytes(lambda b: b + b[:40000]), "masks holds 120000 bytes, not the 80000"),
+    "mask entry p": ("robust", _set_mask_bytes(lambda b: b[:4000] + P.to_bytes(4, "little") + b[4004:]), rf"masks has entries outside \[0, {P}\)"),
+    "mask entry 2**32-1": ("robust", _set_mask_bytes(lambda b: b"\xff" * 4 + b[4:]), rf"masks has entries outside \[0, {P}\)"),
+    "float in params": ("robust", _set(("params", "seed"), 7.0), "non-integer number 7.0"),
+    "stray mix_matrix": ("robust", _set(("mix_matrix",), [[1]]), "mix_matrix is stored on a robust plan"),
+    "mix_matrix null": ("multifile", _set(("mix_matrix",), None), "mix_matrix is missing from a multifile plan"),
+    "mix_matrix absent": ("multifile", _delete("mix_matrix"), r"has the fields \['masks', 'params', 'schema'\]"),
+    "mix_matrix booleans": ("multifile", _set(("mix_matrix", 0, slice(0, 2)), [False, True]), "mix_matrix has non-integer entries"),
+    "mix_matrix entry p": ("multifile", _set(("mix_matrix", 1, 2), P), rf"mix_matrix has entries outside \[0, {P}\)"),
+}
+
+
 @pytest.fixture(scope="module")
-def docs():
-    return {name: cp.plan_to_json(cp.build_plan(factory()))
+def plans():
+    return {name: cp.build_plan(factory())
             for name, factory in (("robust", robust_params), ("multifile", multifile_params))}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_plan_from_json_refuses_malformed_matrices(docs, case):
+def test_plan_from_json_refuses_malformed_matrices(plans, case):
     name, edit, message = CASES[case]
-    doc = json.loads(docs[name])
+    doc = json.loads(plan_json(plans[name]))
     edit(doc)
     with pytest.raises(cp.SchemeError, match=message):
         cp.plan_from_json(json.dumps(doc))
 
 
-def test_plan_from_json_accepts_unsorted_spaced_documents(docs):
-    reordered = json.dumps(dict(reversed(list(json.loads(docs["robust"]).items()))), indent=1)
-    assert cp.plan_to_json(cp.plan_from_json(reordered)) == docs["robust"]
+@pytest.mark.parametrize("case", sorted(V2_CASES))
+def test_plan_from_json_refuses_malformed_v2_documents(plans, case):
+    name, edit, message = V2_CASES[case]
+    doc = json.loads(cp.plan_to_json(plans[name]))
+    edit(doc)
+    with pytest.raises(cp.SchemeError, match=message):
+        cp.plan_from_json(json.dumps(doc))
+
+
+def test_plan_from_json_refuses_a_document_that_is_not_an_object():
+    with pytest.raises(cp.SchemeError, match="unknown plan schema None"):
+        cp.plan_from_json("[1, 2]")
+
+
+def test_plan_from_json_accepts_unsorted_spaced_documents(plans):
+    plan = plans["robust"]
+    for text in (plan_json(plan), cp.plan_to_json(plan)):
+        reordered = json.dumps(dict(reversed(list(json.loads(text).items()))), indent=1)
+        assert cp.plan_to_json(cp.plan_from_json(reordered)) == cp.plan_to_json(plan)

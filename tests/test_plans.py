@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from conftest import (
     robust_params,
 )
 from feasible import SMALL_FEASIBLE
+from oracles import plan_json
 
 
 # --- ratio --------------------------------------------------------------------
@@ -150,17 +151,33 @@ def test_validate_plan_catches_singular_mask(factory):
 @pytest.mark.parametrize("factory", [prototype_params, robust_params, multifile_params])
 @pytest.mark.parametrize("file", [0, -1])
 def test_validate_plan_catches_changed_atom_coeffs(factory, file):
+    # A plan derives its atoms from its masks, so only a v1 document,
+    # which stores them, can disagree; the loader refuses it.
     plan = cp.build_plan(factory())
-    coeffs = list(plan.atom_coeffs)
-    coeffs[file] = coeffs[file].copy()
-    coeffs[file][3, 5] = (coeffs[file][3, 5] + 1) % plan.params.modulus
-    # the JSON round trip rebuilds the queries from the changed atoms, so
-    # only the comparison with the masks can notice
-    broken = cp.plan_from_json(cp.plan_to_json(replace(plan, atom_coeffs=tuple(coeffs))))
+    doc = json.loads(plan_json(plan))
     f = file % plan.params.n_files
-    assert cp.validate_plan(broken) == [
-        f"atom matrix for file {f} is not its chunk generators times its mask rows"
-    ]
+    doc["atom_coeffs"][f][3][5] = (doc["atom_coeffs"][f][3][5] + 1) % plan.params.modulus
+    message = rf"^stored atom_coeffs\[{f}\] are not the chunk generators times the mask rows$"
+    with pytest.raises(cp.SchemeError, match=message):
+        cp.plan_from_json(json.dumps(doc))
+
+
+def test_atoms_are_derived_not_stored(robust_plan):
+    assert "atom_coeffs" not in {f.name for f in fields(cp.QueryPlan)}
+    assert "atom_coeffs" in robust_plan.__dict__  # build_plan derives them while it builds
+    loaded = cp.plan_from_json(cp.plan_to_json(robust_plan))
+    assert "atom_coeffs" not in loaded.__dict__
+    cp.run_session(loaded, cp.database_for_plan(loaded, seed=1))
+    assert "atom_coeffs" in loaded.__dict__
+
+
+def test_plan_to_json_refuses_masks_outside_the_field(robust_plan):
+    p = robust_plan.params.modulus
+    for bad in (p, -1):
+        mask = robust_plan.masks[1].copy()
+        mask[2, 3] = bad
+        with pytest.raises(cp.SchemeError, match=rf"plan masks are not 2 matrices 100 x 100 over \[0, {p}\)"):
+            cp.plan_to_json(replace(robust_plan, masks=(robust_plan.masks[0], mask)))
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -180,7 +197,7 @@ def test_pipeline_never_builds_the_dense_query_view(name):
 def test_validate_plan_catches_block_multiplicity():
     # Blocks are derived from the parameters, so stored bookkeeping that
     # disagrees with them is refused when a plan is loaded.
-    doc = json.loads(cp.plan_to_json(cp.build_plan(robust_params())))
+    doc = json.loads(plan_json(cp.build_plan(robust_params())))
     doc["blocks"][-1]["atoms"]["1"][0] += 1
     with pytest.raises(cp.SchemeError, match="blocks"):
         cp.plan_from_json(json.dumps(doc))

@@ -1,10 +1,8 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import coded_pir as cp
 from conftest import (
@@ -14,7 +12,7 @@ from conftest import (
     prototype_params,
     robust_params,
 )
-from feasible import SMALL_FEASIBLE
+from feasible import feasible_params
 from oracles import dense_view_ranks
 
 
@@ -201,16 +199,8 @@ def test_view_ranks_match_dense_on_every_server_subset(factory, seed):
     _assert_counts_match_dense(cp.build_plan(factory(seed=seed)))
 
 
-@st.composite
-def _small_feasible_params(draw):
-    params = draw(st.sampled_from(SMALL_FEASIBLE[draw(st.sampled_from(sorted(SMALL_FEASIBLE)))]))
-    if params.variant is not cp.Variant.MULTI_FILE:
-        params = replace(params, desired=(draw(st.integers(0, params.n_files - 1)),))
-    return replace(params, seed=draw(st.integers(0, 2**16)))
-
-
 @settings(max_examples=30, derandomize=True, deadline=None)
-@given(params=_small_feasible_params())
+@given(params=feasible_params())
 def test_view_ranks_match_dense_on_drawn_plans(params):
     plan = cp.build_plan(params)
     assert cp.validate_plan(plan) == []

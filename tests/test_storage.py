@@ -171,6 +171,7 @@ def test_database_json_roundtrip():
         ('{"files":[[[1.5,2],[3,4]]],"p":7}', "files[0]"),  # float literal
         ('{"files":[[["7",2],[3,4]]],"p":7}', "files[0]"),  # string
         ('{"files":[[[null,2],[3,4]]],"p":7}', "files[0]"),
+        ('{"files":[[[1,2],[3,4]],[[5,true],[false,6]]],"p":7}', "files[1]"),  # booleans among integers
         ('{"files":[[[1,2],[3]]],"p":7}', "files[0]"),  # ragged rows
         ('{"files":[[1,2]],"p":7}', "files[0]"),  # not a matrix
         ('{"files":[[[1,2],[3,4]],[[1,2]]],"p":7}', "files[1]"),  # unequal file shapes
