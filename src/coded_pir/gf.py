@@ -1,20 +1,29 @@
 """Exact dense linear algebra over a prime field GF(p).
 
 Matrices are numpy int64 arrays with entries reduced into [0, p).  All
-routines are exact: products are accumulated in chunks small enough that
-no intermediate value can exceed the int64 range, so any prime modulus up
-to ``MAX_MODULUS`` (just above 3 * 10**9) is supported.
+routines are exact, for any prime modulus up to ``MAX_MODULUS`` (just
+above 3 * 10**9).  A product runs in float64 BLAS when every sum it forms
+stays below 2**53, inner * (p - 1)**2 + p <= 2**53, which float64 holds
+exactly in any summation order; it is reduced by multiplying with 1/p.
+Larger moduli and inner dimensions take int64 products, accumulated in
+chunks small enough that no partial sum leaves the int64 range, and so
+do products too small to repay the conversion.  A float64 product goes
+to BLAS in blocks of at most 2**19 multiply-adds: numpy's OpenBLAS runs
+larger calls on its thread pool, and for about its first second a pooled
+call can cost hundreds of times a single-threaded one.
 
 One elimination kernel, ``_eliminate``, is behind ``row_reduce``,
 ``mat_rank`` and ``factor``, and through them ``mat_solve``, ``mat_inv``
 and ``sample_invertible``.  It is blocked: pivots are found column by
 column inside narrow panels, and the rest of the matrix is updated with
-one int64 product per panel, so the O(n**3) work runs in numpy's integer
-matmul and each pivot touches only its panel.  ``factor`` keeps each
-panel's row operations, which a rank test computes anyway, as a
-:class:`Factored` matrix: a square system then solves through them with
-a few products per panel, and ``sample_invertible`` returns its draw so
-factored, with no inverse ever taken.
+one product per panel, so the O(n**3) work runs in matmul and each pivot
+touches only its panel.  Inside a panel, reductions are delayed while
+width * (p - 1)**2 + p < 2**63: a pivot reduces only the column it
+pivots on and its own row, and the panel is reduced once at its end.
+``factor`` keeps each panel's row operations, which a rank test computes
+anyway, as a :class:`Factored` matrix: a square system then solves
+through them with a few products per panel, and ``sample_invertible``
+returns its draw so factored, with no inverse ever taken.
 
 Randomness comes from a counter-based SplitMix64 stream mapped onto field
 elements by rejection sampling below the largest multiple of p, which
@@ -44,6 +53,14 @@ MAX_MODULUS = 3037000499
 # products carry most of the work, narrow enough that the per-pivot
 # passes over the panel stay cheap.
 _PANEL = 32
+
+# Products of fewer multiply-adds stay on int64: below this the float64
+# conversions and reduction cost more than the int64 product.
+_FLOAT_MIN = 2**15
+
+# Most multiply-adds per float64 BLAS call; numpy's OpenBLAS runs larger
+# calls on its thread pool, which is slow to warm up.
+_BLAS_CALL = 2**19
 
 
 class FieldError(Exception):
@@ -100,14 +117,22 @@ def _mat_mul_reduced(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """``mat_mul`` of int64 arrays whose entries are already in [0, p).
 
     Skips the copy and reduction ``mat_mul`` makes of each operand.  The
-    int64 accumulation is exact only for reduced entries, so callers
-    pass only arrays they built in [0, p) themselves.  Stacks of
-    matrices multiply slice by slice, as with ``@``.
+    accumulation is exact only for reduced entries, so callers pass only
+    arrays they built in [0, p) themselves.  Stacks of matrices multiply
+    slice by slice, as with ``@``.
     """
     axis = 0 if b.ndim == 1 else b.ndim - 2  # the contracted axis of b
     inner = a.shape[-1]
     if inner != b.shape[axis]:
         raise FieldError(f"shape mismatch for product: {a.shape} @ {b.shape}")
+    # Float64 holds every integer up to 2**53 exactly: each sum of products,
+    # and the multiple of p the reduction subtracts from it, must fit.
+    if (
+        a.ndim == b.ndim == 2
+        and inner * (p - 1) ** 2 + p <= 2**53
+        and a.shape[0] * inner * b.shape[1] >= _FLOAT_MIN
+    ):
+        return _float_product(a, b, p)
     # Number of addends whose partial sum is guaranteed to fit in int64.
     step = max(1, (2**63 - 1) // max(1, (p - 1) ** 2))
     if inner <= step:
@@ -117,6 +142,37 @@ def _mat_mul_reduced(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         rows = (slice(None),) * axis + (slice(i, i + step),)
         acc = _reduce(acc + a[..., i : i + step] @ b[rows], p)
     return acc
+
+
+def _float_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The reduced 2-D product ``a @ b`` through float64 BLAS, exact.
+
+    Every sum of products stays below 2**53, so BLAS computes it exactly
+    in any summation order.  ``floor(c * (1/p))`` is then within one of
+    ``c // p``, so ``c`` less that multiple of p lies in [-p, 2p) and one
+    correction each way reduces it.  The product goes to BLAS in blocks
+    of at most ``_BLAS_CALL`` multiply-adds: columns of ``b`` first when
+    one row of the result would exceed it, then rows of ``a``.
+    """
+    rows, inner = a.shape
+    cols = b.shape[1]
+    out = np.empty((rows, cols), dtype=np.int64)
+    fa = a.astype(np.float64)
+    fb = b.astype(np.float64)
+    inv = 1.0 / p
+    width = max(1, min(cols, _BLAS_CALL // max(1, inner)))
+    height = max(1, _BLAS_CALL // max(1, inner * width))
+    for j in range(0, cols, width):
+        for i in range(0, rows, height):
+            c = fa[i : i + height] @ fb[:, j : j + width]
+            q = c * inv
+            np.floor(q, out=q)
+            q *= p
+            c -= q
+            np.add(c, p, out=c, where=c < 0)
+            np.subtract(c, p, out=c, where=c >= p)
+            out[i : i + height, j : j + width] = c
+    return out
 
 
 class Panel(NamedTuple):
@@ -157,15 +213,28 @@ def _eliminate(
     along in the copy.  Wider ones do not: the copy instead records
     every row as a combination of the panel's pivot rows (a kept panel
     records them either way), so one pivot touches rows x 2 * _PANEL
-    entries, and the rest of the matrix then
-    takes one exact int64 product per panel.  The rows
-    below gain their recorded combination of the pivot rows; in reduced
-    mode the pivot rows are rebuilt from theirs, and the rows above are
-    cleared with the new pivot rows.  The pivot decisions and row
-    operations are those of the plain column-by-column loop, so the
+    entries, and the rest of the matrix then takes one exact product per
+    panel (float64 BLAS or int64, as ``_mat_mul_reduced`` chooses).  The
+    rows below gain their recorded combination of the pivot rows; in
+    reduced mode the pivot rows are rebuilt from theirs, and the rows
+    above are cleared with the new pivot rows.  The pivot decisions and
+    row operations are those of the plain column-by-column loop, so the
     output equals it entry for entry, rows beyond the rank included.
+
+    Reductions inside the copy are delayed.  A pivot reads its column
+    reduced, for the pivot search and the multiples of the pivot row,
+    and reduces the pivot row before scaling it; the other rows take
+    its update unreduced, each entry losing less than (p - 1)**2.  The
+    whole copy is reduced at the end of the panel, and also after every
+    ``delay`` pivots when int64 headroom allows fewer pivots than the
+    panel is wide: width * (p - 1)**2 + p < 2**63 holds up to about
+    p = 2**29 at the full width, and ``delay`` falls to one near
+    ``MAX_MODULUS``.
     """
     rows, cols = m.shape
+    # Pivots between reductions of the work copy: each lowers an entry
+    # by less than (p - 1)**2, and the reduction needs p more headroom.
+    delay = (2**63 - p) // (p - 1) ** 2
     pivots: list[int] = []
     r = 0
     for c0 in range(0, pivot_cols, _PANEL):
@@ -190,26 +259,31 @@ def _eliminate(
         for c in range(width):
             if r + k == rows:
                 break
-            nz = work[k:, c].nonzero()[0]
+            # Column c, reduced, holds the multiple of the pivot row that
+            # each row loses.
+            factors = work[:, c] % p
+            nz = factors[k:].nonzero()[0]
             if nz.size == 0:
                 continue
             pr = k + int(nz[0])
             if pr != k:
                 work[[k, pr]] = work[[pr, k]]
                 order[[k, pr]] = order[[pr, k]]
+                factors[[k, pr]] = factors[[pr, k]]
             # The combination columns of pivots still to come are zero.
             end = span + k + 1 if with_combos else span
             if with_combos:
                 work[k, span + k] = 1
-            work[k, c:end] *= pow(int(work[k, c]), -1, p)
-            _reduce(work[k, c:end], p)
-            factors = work[:, c].copy()
+            work[k, c:end] = work[k, c:end] % p * pow(int(factors[k]), -1, p) % p
             factors[k] = 0
             lo = 0 if reduced or panels is not None else k + 1
             work[lo:, c:end] -= factors[lo:, None] * work[k, c:end]
-            _reduce(work[lo:, c:end], p)
             pivots.append(c0 + c)
             k += 1
+            if k % delay == 0:
+                _reduce(work, p)
+        if k % delay:
+            _reduce(work, p)
         if k == 0:
             continue
         combos = work[:, span : span + k]

@@ -56,7 +56,7 @@ from .gf import (
     mat_rank,
     sample_invertible,
 )
-from .patterns import BlockFamily, CollusionPattern, family_eval
+from .patterns import BlockFamily, CollusionPattern, PatternError, family_eval
 
 PLAN_STREAM = 1
 
@@ -650,25 +650,58 @@ def params_to_dict(params: SchemeParams) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_ints(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _is_sets(value) -> bool:
+    return value is None or (isinstance(value, list) and value != [] and all(map(_is_ints, value)))
+
+
+_REQUIRED = object()
+_VARIANTS = [x.value for x in Variant]
+_INT = (_is_int, "an integer")
+_SETS = (_is_sets, "null or a nonempty list of integer lists")
+# The fields of a params object: their check, what it asks for, and the
+# value of an absent field.
+_PARAM_FIELDS = {
+    "variant": (lambda v: v in _VARIANTS, "one of " + ", ".join(_VARIANTS), _REQUIRED),
+    "n_servers": (*_INT, _REQUIRED),
+    "code_dim": (*_INT, _REQUIRED),
+    "n_files": (*_INT, _REQUIRED),
+    "desired": (_is_ints, "a list of integers", _REQUIRED),
+    "collusion_size": (*_INT, 0),
+    "s_robust": (*_INT, 0),
+    "b_byzantine": (*_INT, 0),
+    "pattern": (*_SETS, None),
+    "family": (*_SETS, None),
+    "modulus": (*_INT, _REQUIRED),
+    "seed": (*_INT, _REQUIRED),
+}
+
+
 def params_from_dict(data: dict) -> SchemeParams:
-    pattern = data.get("pattern")
-    family = data.get("family")
-    return SchemeParams(
-        variant=Variant(data["variant"]),
-        n_servers=data["n_servers"],
-        code_dim=data["code_dim"],
-        n_files=data["n_files"],
-        desired=tuple(data["desired"]),
-        collusion_size=data.get("collusion_size", 0),
-        s_robust=data.get("s_robust", 0),
-        b_byzantine=data.get("b_byzantine", 0),
-        pattern=None if pattern is None else CollusionPattern(tuple(tuple(s) for s in pattern)),
-        family=None
-        if family is None
-        else BlockFamily(tuple(tuple(s) for s in family), len(family[0])),
-        modulus=data["modulus"],
-        seed=data["seed"],
-    )
+    """The parameters of a plan document; SchemeError names a malformed field."""
+    if not isinstance(data, dict):
+        raise SchemeError(f"params must be an object, got {json.dumps(data)}")
+    fields = {}
+    for key, (valid, what, default) in _PARAM_FIELDS.items():
+        if key not in data and default is _REQUIRED:
+            raise SchemeError(f"params.{key} is missing")
+        fields[key] = data.get(key, default)
+        if key in data and not valid(fields[key]):
+            raise SchemeError(f"params.{key} must be {what}, got {json.dumps(fields[key])}")
+    pattern, family = fields["pattern"], fields["family"]
+    try:
+        fields["pattern"] = None if pattern is None else CollusionPattern(tuple(map(tuple, pattern)))
+        fields["family"] = None if family is None else BlockFamily(tuple(map(tuple, family)), len(family[0]))
+    except PatternError as exc:
+        raise SchemeError(f"params: {exc}") from None
+    return SchemeParams(**fields)
 
 
 def _bookkeeping(params: SchemeParams, layout: Layout) -> dict:

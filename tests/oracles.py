@@ -70,6 +70,58 @@ def int_solve(a, b, p):
     return [row[cols:] for row in reduced[:cols]]
 
 
+def int_factor(a, p, panel):
+    """Rank of ``a`` and the row operations of each ``panel`` pivot columns, on Python ints.
+
+    Each panel runs Gauss-Jordan over its columns on the rows from the
+    current one down, with the pivot rule of ``int_row_reduce``, while
+    every row also tracks itself as a combination of those rows as they
+    stood before the panel.  Returns the rank and, per panel that found
+    a pivot, ``(row, order, combos, top)`` as lists, in the form of
+    ``gf.Panel``: ``order`` is where each row came from, ``combos[i][j]``
+    the coefficient of row i on the j-th pivot row, and ``top`` the
+    pivot rows right of the panel as they stood before it.
+    """
+    m = [[int(x) % p for x in row] for row in np.asarray(a).tolist()]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    panels = []
+    r = 0
+    for c0 in range(0, cols, panel):
+        if r == rows:
+            break
+        c1 = min(c0 + panel, cols)
+        before = m[r:]
+        block = [row[:] for row in before]
+        n = rows - r
+        order = list(range(n))
+        track = [[int(i == j) for j in range(n)] for i in range(n)]
+        k = 0
+        for c in range(c0, c1):
+            if r + k == rows:
+                break
+            pr = next((i for i in range(k, n) if block[i][c]), None)
+            if pr is None:
+                continue
+            for lst in (block, track, order):
+                lst[k], lst[pr] = lst[pr], lst[k]
+            inv = pow(block[k][c], -1, p)
+            block[k] = [x * inv % p for x in block[k]]
+            track[k] = [x * inv % p for x in track[k]]
+            for i in range(n):
+                if i != k and block[i][c]:
+                    f = block[i][c]
+                    block[i] = [(x - f * y) % p for x, y in zip(block[i], block[k])]
+                    track[i] = [(x - f * y) % p for x, y in zip(track[i], track[k])]
+            k += 1
+        if k:
+            combos = [[row[order[j]] for j in range(k)] for row in track]
+            panels.append((r, order, combos, [before[order[j]][c1:] for j in range(k)]))
+        m[r:] = block
+        r += k
+    return r, panels
+
+
 # --- Reed-Solomon: Berlekamp-Welch ------------------------------------------------
 
 

@@ -343,6 +343,129 @@ def test_mat_mul_reduces_negative_and_unreduced_inputs():
         assert gf.mat_mul(a, b, p).tolist() == want, p
 
 
+# --- float64 products and delayed reduction: the kernel's switches ----------------
+
+# Moduli around the switches of _mat_mul_reduced and _eliminate.  At
+# 1048573, the largest prime below 2**20, products take float64 BLAS up
+# to inner dimension 8192, where inner * (p - 1)**2 + p <= 2**53 stops
+# holding.  Panels of 32 pivots reduce their work copy once at 536870909,
+# the largest prime with 32 * (p - 1)**2 + p < 2**63, and also after
+# pivot 31 at 536870923, the next prime.  3037000493 takes int64 products
+# and reduces after every pivot.
+KERNEL_MODULI = (2, 3, 65537, 1048573, 536870909, 536870923, 3037000493)
+
+
+def test_kernel_moduli_straddle_the_switches():
+    assert all(gf.is_prime(p) for p in KERNEL_MODULI)
+    assert not any(gf.is_prime(q) for q in range(1048574, 2**20))
+    assert (2**53 - 1048573) // (1048573 - 1) ** 2 == 8192
+    assert [(2**63 - p) // (p - 1) ** 2 for p in (536870909, 536870923, 3037000493)] == [32, 31, 1]
+    assert not any(gf.is_prime(q) for q in range(536870910, 536870923))
+
+
+def _object_product(a, b, p):
+    return ((a.astype(object) @ b.astype(object)) % p).tolist()
+
+
+# (rows, inner, cols): both sides of the 2**53 switch at 1048573 and of
+# _FLOAT_MIN = 2**15 multiply-adds; at and past the row-block cap,
+# 2**19 // (32 * 128) = 128 rows; and a row wider than the cap, which
+# splits columns (2**19 // 2048 = 256 of them per call).
+PRODUCT_SHAPES = [(2, 8192, 2), (2, 8193, 2), (16, 16, 16), (32, 32, 32),
+                  (128, 32, 128), (129, 32, 128), (1, 2048, 257)]
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_reduced_product_matches_python_ints_across_the_switches(p, monkeypatch):
+    float_calls = []
+    float_product = gf._float_product
+
+    def counted(a, b, q):
+        float_calls.append(a.shape + b.shape[1:])
+        return float_product(a, b, q)
+
+    monkeypatch.setattr(gf, "_float_product", counted)
+    rng = np.random.default_rng(p % 1000)
+    for rows, inner, cols in PRODUCT_SHAPES:
+        # Random entries, then every entry p - 1: the largest sums there are.
+        for a, b in [(rng.integers(0, p, (rows, inner)), rng.integers(0, p, (inner, cols))),
+                     (np.full((rows, inner), p - 1), np.full((inner, cols), p - 1))]:
+            got = gf._mat_mul_reduced(a, b, p)
+            assert got.dtype == np.int64 and got.tolist() == _object_product(a, b, p), (p, rows, inner, cols)
+    exact = {(r, i, c) for r, i, c in PRODUCT_SHAPES if i * (p - 1) ** 2 + p <= 2**53 and r * i * c >= 2**15}
+    assert set(float_calls) == exact
+    if p == 1048573:
+        assert exact == {(2, 8192, 2), (32, 32, 32), (128, 32, 128), (129, 32, 128), (1, 2048, 257)}
+    if p >= 536870909:
+        assert float_calls == []
+
+
+def test_float_product_corrects_quotients_one_off():
+    # 103 * fl(1/103) < 1, so a sum of exactly p gets the quotient 0 and
+    # needs the correction down.
+    p = 103
+    assert np.floor(p * (1.0 / p)) == 0
+    b = np.tile([[51], [52]], (1, 256))
+    got = gf._mat_mul_reduced(np.ones((64, 2), dtype=np.int64), b, p)
+    assert got.shape == (64, 256) and not got.any()
+    # 94906249 is the largest prime with a float64 product at inner
+    # dimension 1.  A product a * b = -1 mod p lies just below a multiple
+    # of p, and floor(c * (1/p)) can round up past it: the correction up.
+    # The outer product below puts such products on its diagonal.
+    p = 94906249
+    assert gf.is_prime(p) and (p - 1) ** 2 + p <= 2**53 < (94906297 - 1) ** 2 + 94906297
+    rng = np.random.default_rng(15)
+    a = rng.integers(p // 2, p, 256)
+    b = np.array([-pow(int(x), -1, p) % p for x in a])
+    assert np.any(np.floor((a * b).astype(np.float64) * (1.0 / p)) > (a * b) // p)
+    got = gf._mat_mul_reduced(a[:, None], b[None, :], p)
+    assert np.all(np.diag(got) == p - 1)
+    assert got.tolist() == _object_product(a[:, None], b[None, :], p)
+
+
+def _kernel_matrices(p, rng):
+    """Matrices across the panel width, the carry switch and the row-block cap."""
+    w = gf._PANEL
+    # n x n with n <= 2 * w only rides trailing columns along; from
+    # 2 * w + 1 on, the first panel takes a product.
+    for rows, cols in [(w - 1, w - 1), (w, w), (w + 1, w + 1), (2 * w, 2 * w), (2 * w + 1, 2 * w + 1),
+                       (70, 40), (40, 70)]:
+        yield rng.integers(0, p, (rows, cols)).astype(np.int64)
+    # Ranks off the panel grid, and a run of zero columns across a panel boundary.
+    yield _low_rank(66, 66, w + 5, p, rng)
+    yield _low_rank(66, 66, 2 * w + 1, p, rng)
+    yield _low_rank(70, 40, w - 1, p, rng)
+    a = rng.integers(0, p, (50, 70)).astype(np.int64)
+    a[:, w - 4 : w + 9] = 0
+    yield a
+    # Entries p - 1 and 0 only: the pivot rows and multiples start at p - 1.
+    yield (p - 1) * rng.integers(0, 2, (66, 66)).astype(np.int64)
+    if p == 65537:
+        # The first panel product is 98 x 32 by 32 x 228, two row blocks.
+        yield rng.integers(0, p, (130, 260)).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_factor_panels_match_python_int_reference(p):
+    rng = np.random.default_rng(p % 997)
+    for a in _kernel_matrices(p, rng):
+        rank, panels = oracles.int_factor(a, p, gf._PANEL)
+        f = gf.factor(a, p)
+        assert f.rank == rank == gf.mat_rank(a, p), (p, a.shape)
+        got = [(pn.row, pn.order.tolist(), pn.combos.tolist(), pn.top.tolist()) for pn in f.panels]
+        assert got == panels, (p, a.shape)
+        assert all(x.dtype == np.int64 for pn in f.panels for x in pn[1:])
+        reduced, pivots = gf.row_reduce(a, p)
+        assert (reduced.tolist(), pivots) == oracles.int_row_reduce(a, p), (p, a.shape)
+        if a.shape[0] == a.shape[1]:
+            b = rng.integers(0, p, (a.shape[0], 3)).astype(np.int64)
+            if rank < a.shape[0]:
+                with pytest.raises(gf.NoSolution):
+                    f.solve(b)
+            else:
+                assert _object_product(a, f.solve(b), p) == b.tolist(), (p, a.shape)
+
+
 # --- deterministic randomness ---------------------------------------------
 
 

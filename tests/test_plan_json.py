@@ -189,6 +189,12 @@ V2_CASES = {
     "mask entry p": ("robust", _set_mask_bytes(lambda b: b[:4000] + P.to_bytes(4, "little") + b[4004:]), rf"masks has entries outside \[0, {P}\)"),
     "mask entry 2**32-1": ("robust", _set_mask_bytes(lambda b: b"\xff" * 4 + b[4:]), rf"masks has entries outside \[0, {P}\)"),
     "float in params": ("robust", _set(("params", "seed"), 7.0), "non-integer number 7.0"),
+    "params a string": ("robust", _set(("params",), "robust"), r'params must be an object, got "robust"'),
+    "boolean seed": ("robust", _set(("params", "seed"), True), r"params\.seed must be an integer, got true"),
+    "string n_servers": ("robust", _set(("params", "n_servers"), "4"), r'params\.n_servers must be an integer, got "4"'),
+    "seed missing": ("robust", lambda doc: doc["params"].pop("seed"), r"params\.seed is missing"),
+    "unknown variant": ("robust", _set(("params", "variant"), "sturdy"), r'params\.variant must be one of prototype, .*, got "sturdy"'),
+    "pattern with an empty set": ("robust", _set(("params", "pattern"), [[0], []]), "params: pattern contains an empty subset"),
     "stray mix_matrix": ("robust", _set(("mix_matrix",), [[1]]), "mix_matrix is stored on a robust plan"),
     "mix_matrix null": ("multifile", _set(("mix_matrix",), None), "mix_matrix is missing from a multifile plan"),
     "mix_matrix absent": ("multifile", _delete("mix_matrix"), r"has the fields \['masks', 'params', 'schema'\]"),
