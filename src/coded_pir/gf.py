@@ -17,9 +17,17 @@ One elimination kernel, ``_eliminate``, is behind ``row_reduce``,
 and ``sample_invertible``.  It is blocked: pivots are found column by
 column inside narrow panels, and the rest of the matrix is updated with
 one product per panel, so the O(n**3) work runs in matmul and each pivot
-touches only its panel.  Inside a panel, reductions are delayed while
-width * (p - 1)**2 + p < 2**63: a pivot reduces only the column it
+touches only its panel.  The panel's work copy is held transposed, so
+each pivot's update runs along rows of the copy as long as the matrix is
+tall: at L <= 384, numpy's cost on short strided rows, not the panel's
+width, set the price of a pivot.  Inside a panel, reductions are delayed
+while width * (p - 1)**2 + p < 2**63: a pivot reduces only the column it
 pivots on and its own row, and the panel is reduced once at its end.
+The rows below a panel add their product with its pivot rows in float64
+and are reduced once, while width * (p - 1)**2 + (p - 1) + p <= 2**53,
+as FFLAS-FFPACK's ``fgemm`` does with its beta term.  They are updated
+in place: each swap of the pivot search moves the two rows of ``m``
+right of the panel too, so they need no gather into the panel's order.
 ``factor`` keeps each panel's row operations, which a rank test computes
 anyway, as a :class:`Factored` matrix: a square system then solves
 through them with a few products per panel, and ``sample_invertible``
@@ -51,7 +59,9 @@ MAX_MODULUS = 3037000499
 
 # Pivot columns per elimination panel: wide enough that the per-panel
 # products carry most of the work, narrow enough that the per-pivot
-# passes over the panel stay cheap.
+# passes over the panel stay cheap.  With the transposed work copy, 32
+# is the fastest of 16, 32 and 64 up to L = 384; 64 only draws level
+# with it at L = 1296.
 _PANEL = 32
 
 # Products of fewer multiply-adds stay on int64: below this the float64
@@ -97,6 +107,14 @@ def as_field(a, p: int) -> np.ndarray:
     return np.asarray(a, dtype=np.int64) % p
 
 
+def _as_matrix(a, p: int) -> np.ndarray:
+    """``as_field(a, p)``, refused with a :class:`FieldError` unless 2-D."""
+    m = as_field(a, p)
+    if m.ndim != 2:
+        raise FieldError(f"expected a 2-D matrix, got shape {m.shape}")
+    return m
+
+
 def _reduce(a: np.ndarray, p: int) -> np.ndarray:
     """Reduce the int64 array ``a`` into [0, p) in place and return it.
 
@@ -113,38 +131,46 @@ def mat_mul(a, b, p: int) -> np.ndarray:
     return _mat_mul_reduced(as_field(a, p), as_field(b, p), p)
 
 
-def _mat_mul_reduced(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def _mat_mul_reduced(a: np.ndarray, b: np.ndarray, p: int, add: np.ndarray | None = None) -> np.ndarray:
     """``mat_mul`` of int64 arrays whose entries are already in [0, p).
 
     Skips the copy and reduction ``mat_mul`` makes of each operand.  The
     accumulation is exact only for reduced entries, so callers pass only
     arrays they built in [0, p) themselves.  Stacks of matrices multiply
-    slice by slice, as with ``@``.
+    slice by slice, as with ``@``.  Given ``add``, an array of the
+    product's shape reduced into [0, p), the reduced ``add + a @ b`` is
+    written into ``add`` and returned.
     """
     axis = 0 if b.ndim == 1 else b.ndim - 2  # the contracted axis of b
     inner = a.shape[-1]
     if inner != b.shape[axis]:
         raise FieldError(f"shape mismatch for product: {a.shape} @ {b.shape}")
     # Float64 holds every integer up to 2**53 exactly: each sum of products,
-    # and the multiple of p the reduction subtracts from it, must fit.
+    # the addend if any, and the multiple of p the reduction subtracts from
+    # it, must fit.
+    headroom = 0 if add is None else p - 1
     if (
         a.ndim == b.ndim == 2
-        and inner * (p - 1) ** 2 + p <= 2**53
+        and inner * (p - 1) ** 2 + headroom + p <= 2**53
         and a.shape[0] * inner * b.shape[1] >= _FLOAT_MIN
     ):
-        return _float_product(a, b, p)
+        return _float_product(a, b, p, add)
     # Number of addends whose partial sum is guaranteed to fit in int64.
     step = max(1, (2**63 - 1) // max(1, (p - 1) ** 2))
     if inner <= step:
-        return _reduce(a @ b, p)
-    acc = 0
-    for i in range(0, inner, step):
-        rows = (slice(None),) * axis + (slice(i, i + step),)
-        acc = _reduce(acc + a[..., i : i + step] @ b[rows], p)
-    return acc
+        product = _reduce(a @ b, p)
+    else:
+        product = 0
+        for i in range(0, inner, step):
+            rows = (slice(None),) * axis + (slice(i, i + step),)
+            product = _reduce(product + a[..., i : i + step] @ b[rows], p)
+    if add is None:
+        return product
+    add += product
+    return _reduce(add, p)
 
 
-def _float_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def _float_product(a: np.ndarray, b: np.ndarray, p: int, add: np.ndarray | None = None) -> np.ndarray:
     """The reduced 2-D product ``a @ b`` through float64 BLAS, exact.
 
     Every sum of products stays below 2**53, so BLAS computes it exactly
@@ -153,10 +179,16 @@ def _float_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     correction each way reduces it.  The product goes to BLAS in blocks
     of at most ``_BLAS_CALL`` multiply-adds: columns of ``b`` first when
     one row of the result would exceed it, then rows of ``a``.
+
+    Given ``add``, an int64 array of the result's shape reduced into
+    [0, p), each block adds it before the one reduction, and the reduced
+    ``add + a @ b`` is written into ``add`` and returned.  The sum gains
+    up to p - 1, so ``_mat_mul_reduced`` sends it here only while
+    inner * (p - 1)**2 + (p - 1) + p <= 2**53.
     """
     rows, inner = a.shape
     cols = b.shape[1]
-    out = np.empty((rows, cols), dtype=np.int64)
+    out = np.empty((rows, cols), dtype=np.int64) if add is None else add
     fa = a.astype(np.float64)
     fb = b.astype(np.float64)
     inv = 1.0 / p
@@ -165,13 +197,16 @@ def _float_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     for j in range(0, cols, width):
         for i in range(0, rows, height):
             c = fa[i : i + height] @ fb[:, j : j + width]
+            block = out[i : i + height, j : j + width]
+            if add is not None:
+                c += block
             q = c * inv
             np.floor(q, out=q)
             q *= p
             c -= q
             np.add(c, p, out=c, where=c < 0)
             np.subtract(c, p, out=c, where=c >= p)
-            out[i : i + height, j : j + width] = c
+            block[...] = c
     return out
 
 
@@ -200,26 +235,35 @@ def _eliminate(
     of a column is the first nonzero entry at or below the current row,
     swapped up and scaled to 1.  With ``reduced`` each pivot clears its
     column in every other row, leaving the reduced row-echelon form;
-    otherwise it clears only the rows below it, which is all a rank
-    needs, and the pivot list is the only result: the rows of ``m`` are
-    then left part-updated.  Given a ``panels`` list, a rank-mode
-    elimination appends each panel's row operations to it, and clears
-    the pivot rows of the panel above their pivots as well; that changes
-    no pivot, no swap and no row below.
+    otherwise it clears the rows below it, which is all a rank needs,
+    and the pivot list is the only result: the rows of ``m`` are then
+    left part-updated.  A rank-mode pivot also clears its panel's pivot
+    rows above it: that changes no pivot, no swap and no row below, and
+    whole rows of the transposed copy update no slower than their tails.
+    Given a ``panels`` list, a rank-mode elimination appends each panel's
+    row operations to it.
 
     The pivot columns are taken in panels of ``_PANEL`` columns, and
     each panel is eliminated on a copy of its rows from the current one
-    down.  Columns right of the panel that are no wider than it ride
-    along in the copy.  Wider ones do not: the copy instead records
-    every row as a combination of the panel's pivot rows (a kept panel
-    records them either way), so one pivot touches rows x 2 * _PANEL
-    entries, and the rest of the matrix then takes one exact product per
-    panel (float64 BLAS or int64, as ``_mat_mul_reduced`` chooses).  The
-    rows below gain their recorded combination of the pivot rows; in
-    reduced mode the pivot rows are rebuilt from theirs, and the rows
-    above are cleared with the new pivot rows.  The pivot decisions and
-    row operations are those of the plain column-by-column loop, so the
-    output equals it entry for entry, rows beyond the rank included.
+    down, held transposed: one contiguous row of the copy per column, so
+    a pivot's rank-1 update runs along rows - r entries rather than
+    along at most 2 * _PANEL.  Columns right of the panel that are no
+    wider than it ride along in the copy.  Wider ones do not: the copy
+    instead records every row as a combination of the panel's pivot rows
+    (a kept panel records them either way), so one pivot touches
+    rows x 2 * _PANEL entries, and the rest of the matrix then takes one
+    exact product per panel.  Each swap of the pivot search swaps the
+    two rows of ``m`` right of the copy as well, so those columns stand
+    in the panel's order when it ends.  The rows below then gain their
+    recorded combination of the pivot rows in place, through the ``add``
+    of ``_mat_mul_reduced``: while width * (p - 1)**2 + (p - 1) + p <=
+    2**53 the sum is formed in float64 inside the BLAS blocks and
+    reduced once; otherwise the reduced int64 product is added and
+    reduced again.  In reduced mode the pivot rows are
+    rebuilt from their combinations, and the rows above are cleared with
+    the new pivot rows.  The pivot decisions and row operations are
+    those of the plain column-by-column loop, so the output equals it
+    entry for entry, rows beyond the rank included.
 
     Reductions inside the copy are delayed.  A pivot reads its column
     reduced, for the pivot search and the multiples of the pivot row,
@@ -243,41 +287,44 @@ def _eliminate(
         c1 = min(c0 + _PANEL, pivot_cols)
         width = c1 - c0
         # Trailing columns no wider than the panel ride along in the copy.
-        # Wider ones wait for the per-panel products.  Unless they ride
-        # along and no panel is kept, the copy gains a column per pivot:
-        # column span + j of a row holds its coefficient on the panel's
-        # j-th pivot row as read before the panel, the 1 that pivot row
-        # starts with included.  A row that is not a pivot row also keeps
-        # itself with coefficient 1.
+        # Wider ones wait for the per-panel products.  The copy is held
+        # transposed: work[j, i] is entry j of row r + i as the panel
+        # reorders them.  Unless the trailing columns ride along and no
+        # panel is kept, each row gains an entry per pivot: entry span + j
+        # holds its coefficient on the panel's j-th pivot row as read
+        # before the panel, the 1 that pivot row starts with included.  A
+        # row that is not a pivot row also keeps itself with coefficient 1.
         carry = cols - c1 <= width
         span = cols - c0 if carry else width
         with_combos = panels is not None or not carry
-        work = np.zeros((rows - r, span + width if with_combos else span), dtype=np.int64)
-        work[:, :span] = m[r:, c0 : c0 + span]
+        work = np.zeros((span + width if with_combos else span, rows - r), dtype=np.int64)
+        work[:span] = m[r:, c0 : c0 + span].T
         order = np.arange(rows - r)
         k = 0
         for c in range(width):
             if r + k == rows:
                 break
-            # Column c, reduced, holds the multiple of the pivot row that
-            # each row loses.
-            factors = work[:, c] % p
+            # Entry c of each row, reduced, is the multiple of the pivot row
+            # that the row loses.
+            factors = work[c] % p
             nz = factors[k:].nonzero()[0]
             if nz.size == 0:
                 continue
             pr = k + int(nz[0])
             if pr != k:
-                work[[k, pr]] = work[[pr, k]]
+                work[:, [k, pr]] = work[:, [pr, k]]
                 order[[k, pr]] = order[[pr, k]]
                 factors[[k, pr]] = factors[[pr, k]]
-            # The combination columns of pivots still to come are zero.
+                # The columns right of the copy keep the panel's order in m.
+                m[[r + k, r + pr], c0 + span :] = m[[r + pr, r + k], c0 + span :]
+            # The combination entries of pivots still to come are zero.
             end = span + k + 1 if with_combos else span
             if with_combos:
-                work[k, span + k] = 1
-            work[k, c:end] = work[k, c:end] % p * pow(int(factors[k]), -1, p) % p
+                work[span + k, k] = 1
+            pivot_row = work[c:end, k] % p * pow(int(factors[k]), -1, p) % p
+            work[c:end, k] = pivot_row
             factors[k] = 0
-            lo = 0 if reduced or panels is not None else k + 1
-            work[lo:, c:end] -= factors[lo:, None] * work[k, c:end]
+            work[c:end] -= np.multiply.outer(pivot_row, factors)
             pivots.append(c0 + c)
             k += 1
             if k % delay == 0:
@@ -286,19 +333,20 @@ def _eliminate(
             _reduce(work, p)
         if k == 0:
             continue
-        combos = work[:, span : span + k]
+        combos = work[span : span + k].T
         if carry:
             if panels is not None:
                 panels.append(Panel(r, order, combos.copy(), m[r:, c1:][order[:k]]))
-            m[r:, c0:] = work[:, :span]
+            m[r:, c0:] = work[:span].T
         else:
-            trailing = m[r:, c1:][order]
-            top = trailing[:k]
-            m[r + k :, c1:] = _reduce(trailing[k:] + _mat_mul_reduced(combos[k:], top, p), p)
+            # The trailing rows, already in the panel's order, add their
+            # combination of the pivot rows in place.
+            top = m[r : r + k, c1:]
             if panels is not None:
                 panels.append(Panel(r, order, combos.copy(), top.copy()))
+            _mat_mul_reduced(combos[k:], top, p, add=m[r + k :, c1:])
             if reduced:
-                m[r:, c0:c1] = work[:, :width]
+                m[r:, c0:c1] = work[:width].T
                 m[r : r + k, c1:] = _mat_mul_reduced(combos[:k], top, p)
         if reduced and r:
             pivot_entries = m[:r, pivots[-k:]]
@@ -314,14 +362,14 @@ def row_reduce(a, p: int, pivot_cols: int | None = None) -> tuple[np.ndarray, li
     columns by default), which lets callers reduce augmented systems.
     Returns the reduced matrix and the list of pivot column indices.
     """
-    m = as_field(a, p)
+    m = _as_matrix(a, p)
     pivots = _eliminate(m, p, m.shape[1] if pivot_cols is None else pivot_cols, reduced=True)
     return m, pivots
 
 
 def mat_rank(a, p: int) -> int:
     """Rank of ``a`` over GF(p) (forward elimination only)."""
-    m = as_field(a, p)
+    m = _as_matrix(a, p)
     if m.size == 0:
         return 0
     return len(_eliminate(m, p, m.shape[1], reduced=False))
@@ -355,6 +403,8 @@ class Factored:
             raise NoSolution("matrix is singular")
         p = self.p
         x = as_field(b, p)
+        if x.ndim not in (1, 2):
+            raise FieldError(f"expected a vector or matrix right-hand side, got shape {x.shape}")
         if x.shape[0] != n:
             raise FieldError(f"shape mismatch for solve: {self.matrix.shape} vs {x.shape}")
         for r, order, combos, _ in self.panels:
@@ -374,7 +424,7 @@ class Factored:
 
 def factor(a, p: int) -> Factored:
     """``a`` over GF(p) with its rank and the row operations that found it."""
-    matrix = as_field(a, p)
+    matrix = _as_matrix(a, p)
     panels: list[Panel] = []
     rank = len(_eliminate(matrix.copy(), p, matrix.shape[1], reduced=False, panels=panels))
     return Factored(matrix, p, rank, tuple(panels))
@@ -388,12 +438,12 @@ def mat_solve(a, b, p: int) -> np.ndarray:
     verified); raises :class:`NoSolution` otherwise.  ``b`` may be a
     vector or a matrix of stacked right-hand sides.
     """
-    a = as_field(a, p)
+    a = _as_matrix(a, p)
     b = as_field(b, p)
     vector_rhs = b.ndim == 1
     if vector_rhs:
         b = b[:, None]
-    if a.shape[0] != b.shape[0]:
+    if b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise FieldError(f"shape mismatch for solve: {a.shape} vs {b.shape}")
     rows, cols = a.shape
     reduced, pivots = row_reduce(np.hstack([a, b]), p, pivot_cols=cols)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,20 @@ def test_rank_transpose_agrees():
 def test_rank_counts_dependent_rows():
     a = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)  # row1 = 2*row0 mod 7
     assert gf.mat_rank(a, 7) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: gf.mat_rank(a, 5),
+    lambda a: gf.factor(a, 5),
+    lambda a: gf.row_reduce(a, 5),
+    lambda a: gf.mat_solve(a, [1, 2], 5),
+    lambda a: gf.mat_inv(a, 5),
+    lambda a: gf.factor(np.eye(3, dtype=np.int64), 5).solve(a),
+], ids=["mat_rank", "factor", "row_reduce", "mat_solve", "mat_inv", "Factored.solve"])
+@pytest.mark.parametrize("a", [[1, 2], 3, np.zeros((2, 2, 2), dtype=np.int64)], ids=["1-D", "0-D", "3-D"])
+def test_elimination_refuses_non_matrices_naming_the_shape(call, a):
+    with pytest.raises(gf.FieldError, match=re.escape(str(np.shape(a)))):
+        call(a)
 
 
 # --- solve / inverse ------------------------------------------------------
@@ -350,9 +366,12 @@ def test_mat_mul_reduces_negative_and_unreduced_inputs():
 # to inner dimension 8192, where inner * (p - 1)**2 + p <= 2**53 stops
 # holding.  Panels of 32 pivots reduce their work copy once at 536870909,
 # the largest prime with 32 * (p - 1)**2 + p < 2**63, and also after
-# pivot 31 at 536870923, the next prime.  3037000493 takes int64 products
-# and reduces after every pivot.
-KERNEL_MODULI = (2, 3, 65537, 1048573, 536870909, 536870923, 3037000493)
+# pivot 31 at 536870923, the next prime.  A full panel's trailing update
+# adds a 32-term product to reduced entries in float64, reduced once,
+# while 32 * (p - 1)**2 + (p - 1) + p <= 2**53: up to 16777213, not at
+# 16777259, the next prime.  3037000493 takes int64 products and reduces
+# after every pivot.
+KERNEL_MODULI = (2, 3, 65537, 1048573, 16777213, 16777259, 536870909, 536870923, 3037000493)
 
 
 def test_kernel_moduli_straddle_the_switches():
@@ -361,6 +380,9 @@ def test_kernel_moduli_straddle_the_switches():
     assert (2**53 - 1048573) // (1048573 - 1) ** 2 == 8192
     assert [(2**63 - p) // (p - 1) ** 2 for p in (536870909, 536870923, 3037000493)] == [32, 31, 1]
     assert not any(gf.is_prime(q) for q in range(536870910, 536870923))
+    fused = [32 * (p - 1) ** 2 + (p - 1) + p <= 2**53 for p in (16777213, 16777259)]
+    assert fused == [True, False]
+    assert not any(gf.is_prime(q) for q in range(16777214, 16777259))
 
 
 def _object_product(a, b, p):
@@ -380,9 +402,9 @@ def test_reduced_product_matches_python_ints_across_the_switches(p, monkeypatch)
     float_calls = []
     float_product = gf._float_product
 
-    def counted(a, b, q):
+    def counted(a, b, q, add=None):
         float_calls.append(a.shape + b.shape[1:])
-        return float_product(a, b, q)
+        return float_product(a, b, q, add)
 
     monkeypatch.setattr(gf, "_float_product", counted)
     rng = np.random.default_rng(p % 1000)
@@ -440,6 +462,11 @@ def _kernel_matrices(p, rng):
     yield a
     # Entries p - 1 and 0 only: the pivot rows and multiples start at p - 1.
     yield (p - 1) * rng.integers(0, 2, (66, 66)).astype(np.int64)
+    # A product panel whose first pivot candidates are zero: its pivot
+    # search swaps rows, so the trailing rows are gathered into its order.
+    a = rng.integers(1, p, (2 * w + 6, 2 * w + 6)).astype(np.int64)
+    a[:3, 0] = 0
+    yield a
     if p == 65537:
         # The first panel product is 98 x 32 by 32 x 228, two row blocks.
         yield rng.integers(0, p, (130, 260)).astype(np.int64)
@@ -464,6 +491,28 @@ def test_factor_panels_match_python_int_reference(p):
                     f.solve(b)
             else:
                 assert _object_product(a, f.solve(b), p) == b.tolist(), (p, a.shape)
+
+
+@pytest.mark.parametrize("p", (65537, 16777213, 16777259, 3037000493))
+def test_trailing_update_fuses_below_the_switch(p, monkeypatch):
+    calls = []
+    float_product = gf._float_product
+
+    def counted(a, b, q, add=None):
+        calls.append((a.shape + b.shape[1:], add is not None))
+        return float_product(a, b, q, add)
+
+    monkeypatch.setattr(gf, "_float_product", counted)
+    rng = np.random.default_rng(p % 991)
+    # Two product panels: 68 x 32 by 32 x 68 and 36 x 32 by 32 x 36, both
+    # past _FLOAT_MIN multiply-adds; the third panel rides along.
+    a = rng.integers(1, p, (100, 100)).astype(np.int64)
+    rank, panels = oracles.int_factor(a, p, gf._PANEL)
+    f = gf.factor(a, p)
+    got = [(pn.row, pn.order.tolist(), pn.combos.tolist(), pn.top.tolist()) for pn in f.panels]
+    assert f.rank == rank == 100 and got == panels, p
+    fused = [((68, 32, 68), True), ((36, 32, 36), True)]
+    assert calls == (fused if p <= 16777213 else [])
 
 
 # --- deterministic randomness ---------------------------------------------
