@@ -142,9 +142,9 @@ def _mat_mul_reduced(a: np.ndarray, b: np.ndarray, p: int, add: np.ndarray | Non
     written into ``add`` and returned.
     """
     axis = 0 if b.ndim == 1 else b.ndim - 2  # the contracted axis of b
-    inner = a.shape[-1]
-    if inner != b.shape[axis]:
+    if not a.ndim or not b.ndim or a.shape[-1] != b.shape[axis]:
         raise FieldError(f"shape mismatch for product: {a.shape} @ {b.shape}")
+    inner = a.shape[-1]
     # Float64 holds every integer up to 2**53 exactly: each sum of products,
     # the addend if any, and the multiple of p the reduction subtracts from
     # it, must fit.
@@ -424,7 +424,11 @@ class Factored:
 
 def factor(a, p: int) -> Factored:
     """``a`` over GF(p) with its rank and the row operations that found it."""
-    matrix = _as_matrix(a, p)
+    return _factor_reduced(_as_matrix(a, p), p)
+
+
+def _factor_reduced(matrix: np.ndarray, p: int) -> Factored:
+    """``factor`` of an int64 matrix whose entries are already in [0, p), kept as given."""
     panels: list[Panel] = []
     rank = len(_eliminate(matrix.copy(), p, matrix.shape[1], reduced=False, panels=panels))
     return Factored(matrix, p, rank, tuple(panels))
@@ -522,6 +526,8 @@ class FieldRng:
         missing, so no word is drawn that the one-at-a-time loop would
         not draw, and the counter ends where that loop leaves it.
         """
+        if n < 0:
+            raise FieldError(f"cannot draw a negative number of values, got {n}")
         accept = (1 << 64) - ((1 << 64) % k)
         out = np.empty(n, dtype=np.int64)
         filled = 0
@@ -541,6 +547,8 @@ class FieldRng:
         return int(self.elements(1)[0])
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
+        if rows < 0 or cols < 0:
+            raise FieldError(f"cannot draw a matrix of shape ({rows}, {cols})")
         return self.elements(rows * cols).reshape(rows, cols)
 
     def below(self, k: int) -> int:
@@ -582,6 +590,6 @@ def sample_invertible(size: int, p: int, rng: "FieldRng | int") -> Factored:
     if rng.p != p:
         raise FieldError(f"generator modulus {rng.p} does not match {p}")
     while True:
-        drawn = factor(rng.matrix(size, size), p)
+        drawn = _factor_reduced(rng.matrix(size, size), p)  # draws are in [0, p) already
         if drawn.rank == size:
             return drawn

@@ -6,19 +6,23 @@ beta), the assisting array, the codes, and per file a tuple of chunks,
 each a range of mask rows under one MDS code (or none) that yields a
 range of atoms; per block the first atom of each labelled file; per
 group its pure and mixed blocks.  The seeded part is one invertible mask
-per file, plus the multifile mixing matrix.  A file's atom coefficient
-matrix stacks, chunk after chunk, the chunk's generator times its mask
-rows.  Query ``block * b + s``, shared by the K servers of symbol s,
-sums atom ``atom_start[f] + s`` of each labelled file f (times the
-block's mixing entry on multifile); it is derived, never stored.
+per file, plus the multifile mixing matrix; a plan holds nothing else.
+A file's atom coefficients stack, chunk after chunk, the chunk's
+generator times its mask rows.  Query ``block * b + s``, shared by the K
+servers of symbol s, sums atom ``atom_start[f] + s`` of each labelled
+file f (times the block's mixing entry on multifile).  Neither the atoms
+nor the queries are stored: a session applies the chunk generators to
+the masks' projection of the files (``storage.run_session``), and only
+the dense ``QueryPlan.queries`` view, kept for inspection, writes the
+atoms out.
 
 Construction, validation, the privacy audit (``rates``), decoding and
 the plan JSON all read the one layout.  The plan JSON (v2) stores only
-the parameters, the masks and the mixing matrix; the layout and the
-atoms are derived again on load.  A v1 document, which also stores the
-bookkeeping and the atoms, still loads if they agree with what the
-parameters and masks give.  Identical (params, seed) pairs produce
-bit-identical plans on every platform.
+the parameters, the masks and the mixing matrix; the layout is derived
+again on load.  A v1 document, which also stores the bookkeeping and the
+atoms, still loads if they agree with what the parameters and masks
+give.  Identical (params, seed) pairs produce bit-identical plans on
+every platform.
 
 Variant summary, writing g = alpha + beta, b = number of assisting-array
 symbols, b_T = C(N-T,K), b_S = C(N-S,K), e_B = 2*C(N-B,K) - C(N,K):
@@ -33,6 +37,7 @@ symbols, b_T = C(N-T,K), b_S = C(N-S,K), e_B = 2*C(N-B,K) - C(N,K):
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -364,16 +369,6 @@ class QueryPlan:
         return self.array.n_symbols
 
     @cached_property
-    def atom_coeffs(self) -> tuple[np.ndarray, ...]:
-        """Every file's atom coefficients: its chunk generators times its mask rows.
-
-        ``build_plan`` fills this as it builds; any other plan derives
-        them here, once, on first use.
-        """
-        p = self.params.modulus
-        return tuple(_atom_matrix(chunks, mask, p) for chunks, mask in zip(self.layout.chunks, self.masks))
-
-    @cached_property
     def mask_factors(self) -> dict[int, Factored]:
         """The desired files' masks, factored for decoding through them.
 
@@ -384,21 +379,27 @@ class QueryPlan:
 
     @cached_property
     def queries(self) -> tuple[Query, ...]:
-        """Every query as a dense M*L vector, for inspection; sessions and decoding never read it."""
+        """Every query as a dense M*L vector, for inspection; sessions and decoding never read it.
+
+        Each file's atoms are derived for its slices of the vectors and
+        dropped again; only the vectors are kept.
+        """
         p, m, l_rows, b = self.params.modulus, self.params.n_files, self.l_rows, self.n_symbols
-        queries: list[Query] = []
-        for blk in self.blocks:
-            vectors = np.zeros((b, m * l_rows), dtype=np.int64)
-            for f, start in blk.atom_start.items():
-                part = self.atom_coeffs[f][start : start + b]
+        vectors = np.zeros((len(self.blocks), b, m * l_rows), dtype=np.int64)
+        for f in range(m):
+            atoms = _atom_matrix(self.layout.chunks[f], self.masks[f], p)
+            for blk in self.blocks:
+                if f not in blk.atom_start:
+                    continue
+                part = atoms[blk.atom_start[f] : blk.atom_start[f] + b]
                 if blk.mix_row is not None:  # a mixed block scales the atoms by its mixing-row entry
                     part = int(self.mix_matrix[blk.mix_row, f]) * part % p
-                vectors[:, f * l_rows : (f + 1) * l_rows] = part
-            queries += [
-                Query(index=blk.index * b + s, block=blk.index, symbol=s, servers=subset, vector=vectors[s])
-                for s, subset in enumerate(self.array.symbols)
-            ]
-        return tuple(queries)
+                vectors[blk.index, :, f * l_rows : (f + 1) * l_rows] = part
+        return tuple(
+            Query(index=blk.index * b + s, block=blk.index, symbol=s, servers=subset, vector=vectors[blk.index, s])
+            for blk in self.blocks
+            for s, subset in enumerate(self.array.symbols)
+        )
 
     @cached_property
     def mix_inverse(self) -> np.ndarray:
@@ -564,7 +565,11 @@ def _multifile_blocks(params, ab, b, big_code):
 
 
 def _atom_matrix(chunks: tuple[Chunk, ...], mask: np.ndarray, p: int) -> np.ndarray:
-    """A file's atom coefficients: each chunk's generator times its mask rows."""
+    """A file's atom coefficients: each chunk's generator times its mask rows.
+
+    No build, session or decode derives them; the dense ``queries`` view
+    and the v1 loader's check do, one file at a time.
+    """
     return np.vstack([
         mask[c.rows[0] : c.rows[1]]
         if c.code is None
@@ -598,7 +603,6 @@ def build_plan(params: SchemeParams) -> QueryPlan:
         h_base = rs.rs_transposed_generator(m, params.p_desired, p).gen_t.T
         mix_matrix = h_base[:, rng.permutation(m)].copy()
     plan = QueryPlan(params=params, layout=layout, masks=tuple(masks), mix_matrix=mix_matrix)
-    _ = plan.atom_coeffs  # derived inside the build, not on the first session
     plan.__dict__["mask_factors"] = mask_factors  # fills the cached_property
     return plan
 
@@ -801,13 +805,58 @@ def _matrices_json(arrays) -> str:
     return "[" + ",".join(map(_matrix_json, arrays)) + "]"
 
 
-def _json_object(fields: dict[str, str]) -> str:
-    """A JSON object from already-encoded values, keys sorted as ``sort_keys`` does."""
-    return "{" + ",".join(json.dumps(k) + ":" + v for k, v in sorted(fields.items())) + "}"
+def _json_object(fields: dict[str, str | list[str]]) -> str:
+    """A JSON object from already-encoded values, keys sorted as ``sort_keys`` does.
+
+    A value may also be given as the list of its text's parts; every
+    part is joined once, into the object's text.
+    """
+    parts = []
+    for key, value in sorted(fields.items()):
+        parts += [",", json.dumps(key), ":"]
+        parts += [value] if isinstance(value, str) else value
+    parts[0] = "{"
+    parts.append("}")
+    return "".join(parts)
 
 
 def _compact(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+# Mask entries per base64 chunk of plan_to_json: a multiple of 3, so that
+# every chunk but the last is a whole number of 3-byte base64 groups and
+# carries no padding.
+_B64_CHUNK = 3 * 2**15
+
+
+def _masks_base64(plan: QueryPlan) -> list[str]:
+    """The v2 ``masks`` string, quoted, as the list of its parts.
+
+    The masks pass, file after file, through one ``_B64_CHUNK``-entry
+    uint32 staging buffer, so no full-size copy of them is made; a chunk
+    may straddle two masks.  Each mask is checked before it is copied.
+    """
+    p, m, l_rows = plan.params.modulus, plan.params.n_files, plan.l_rows
+    if len(plan.masks) != m or any(
+        mask.shape != (l_rows, l_rows) or mask.min() < 0 or mask.max() >= p for mask in plan.masks
+    ):
+        raise SchemeError(f"plan masks are not {m} matrices {l_rows} x {l_rows} over [0, {p})")
+    stage = np.empty(_B64_CHUNK, dtype="<u4")
+    parts, filled = ['"'], 0
+    for mask in plan.masks:
+        flat = mask.reshape(-1)
+        while flat.size:
+            n = min(flat.size, stage.size - filled)
+            stage[filled : filled + n] = flat[:n]
+            flat, filled = flat[n:], filled + n
+            if filled == stage.size:
+                parts.append(binascii.b2a_base64(stage, newline=False).decode("ascii"))
+                filled = 0
+    if filled:
+        parts.append(binascii.b2a_base64(stage[:filled], newline=False).decode("ascii"))
+    parts.append('"')
+    return parts
 
 
 def plan_to_json(plan: QueryPlan) -> str:
@@ -816,20 +865,27 @@ def plan_to_json(plan: QueryPlan) -> str:
     The text is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
     of ``{schema, params, masks, mix_matrix}``.  ``masks`` is base64 of
     every file's L x L mask as little-endian uint32, row-major, file after
-    file (every modulus is below 2**32); ``mix_matrix`` is written by
+    file (every modulus is below 2**32), encoded in chunks and joined once
+    with the rest of the text; ``mix_matrix`` is written by
     ``_matrix_json``, or null off multifile.
     """
-    p, shape = plan.params.modulus, (plan.params.n_files, plan.l_rows, plan.l_rows)
-    masks = np.stack(plan.masks)
-    if masks.shape != shape or masks.min() < 0 or masks.max() >= p:
-        raise SchemeError(f"plan masks are not {shape[0]} matrices {shape[1]} x {shape[2]} over [0, {p})")
     fields = {
         "schema": _compact(_SCHEMA),
         "params": _compact(params_to_dict(plan.params)),
-        "masks": '"' + base64.b64encode(masks.astype("<u4").tobytes()).decode("ascii") + '"',
+        "masks": _masks_base64(plan),
         "mix_matrix": "null" if plan.mix_matrix is None else _matrix_json(plan.mix_matrix),
     }
     return _json_object(fields)
+
+
+def _parse_json(text: str, what: str, error: type[Exception], parse_float):
+    """``json.loads``; ``error`` refuses text that is not JSON, naming the line and column, or the nesting."""
+    try:
+        return json.loads(text, parse_float=parse_float)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is malformed: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise error(f"{what} nests arrays or objects too deeply to parse") from None
 
 
 def _refuse_float(text: str):
@@ -884,17 +940,18 @@ def _stored_masks(value, m: int, l_rows: int, p: int) -> tuple[np.ndarray, ...]:
 
 
 def plan_from_json(text: str) -> QueryPlan:
-    """Load a v2 or v1 plan; its layout and atoms are derived from the stored params and masks.
+    """Load a v2 or v1 plan; its layout is derived from the stored params.
 
     A v2 document must hold exactly ``schema``, ``params``, ``masks``
     and ``mix_matrix``.  A v1 document's bookkeeping and atom
     coefficients must equal those derived, or SchemeError names them.
     Either way SchemeError refuses masks that are not integers in [0, p)
     of shape L x L, one per file, and a mixing matrix that is not P x M
-    integers in [0, p) exactly when the variant is multifile.  No query
-    is assembled, and a v2 plan derives its atoms on first use.
+    integers in [0, p) exactly when the variant is multifile, and text
+    that is not JSON, naming the line and column or the nesting.  No
+    query is assembled, and the plan keeps no atoms.
     """
-    doc = json.loads(text, parse_float=_refuse_float)
+    doc = _parse_json(text, "plan JSON", SchemeError, _refuse_float)
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema not in (_SCHEMA, _SCHEMA_V1):
         raise SchemeError(f"unknown plan schema {schema!r}")
@@ -921,7 +978,11 @@ def plan_from_json(text: str) -> QueryPlan:
         raise SchemeError(f"mix_matrix is stored on a {params.variant.value} plan")
     plan = QueryPlan(params=params, layout=layout, masks=masks, mix_matrix=mix)
     if v1:
-        wrong = [f"atom_coeffs[{f}]" for f, a in enumerate(atoms) if not np.array_equal(a, plan.atom_coeffs[f])]
+        wrong = [
+            f"atom_coeffs[{f}]"
+            for f, (a, chunks) in enumerate(zip(atoms, layout.chunks))
+            if not np.array_equal(a, _atom_matrix(chunks, masks[f], p))
+        ]
         if wrong:
             raise SchemeError(f"stored {', '.join(wrong)} are not the chunk generators times the mask rows")
     return plan

@@ -22,10 +22,12 @@ premises:
 - every mask is invertible: ``sample_invertible`` draws it so at build
   time, keeping only draws whose factorization has full rank, and
   ``plans.validate_plan`` re-checks it for a loaded plan;
-- every chunk is its MDS generator times its mask rows: a plan derives
-  its atoms so (``QueryPlan.atom_coeffs``; Reed-Solomon generators are
-  MDS), and ``plans.plan_from_json`` refuses a v1 document whose stored
-  atoms differ.
+- every chunk's atoms are its MDS generator times its mask rows: a plan
+  stores no atoms, only its masks, and a session answers each chunk
+  through its generator applied to the mask's projection of the file
+  (``storage.run_session``; Reed-Solomon generators are MDS), while
+  ``plans.plan_from_json`` refuses a v1 document whose stored atoms
+  differ.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import rs
 from .gf import DEFAULT_MODULUS, FieldError, FieldRng, _mat_mul_reduced, _reduce, as_field
 from .gf import check_modulus, derive_seed, mat_mul
-from .plans import QueryPlan, _json_object, _matrices_json, _stored_matrix
+from .plans import Chunk, QueryPlan, _json_object, _matrices_json, _parse_json, _stored_matrix
 
 DATABASE_STREAM = 2
 ADVERSARY_STREAM = 3
@@ -108,8 +109,10 @@ def database_from_json(text: str) -> Database:
     matrices of one shape in [0, p), or StorageError names the field at fault.
 
     Float literals parse as strings, so they are refused, not truncated.
+    Text that is not JSON is refused naming the line and column, or the
+    nesting.
     """
-    doc = json.loads(text, parse_float=str)
+    doc = _parse_json(text, "database JSON", StorageError, str)
     if not isinstance(doc, dict):
         raise StorageError("database JSON must be an object")
     p = doc.get("p")
@@ -182,11 +185,40 @@ class Transcript:
     downloaded_symbols: int
 
 
+def _atom_answers(chunks: tuple[Chunk, ...], mask: np.ndarray, encoded: np.ndarray, p: int) -> np.ndarray:
+    """Every atom of one file against its encoded rows: ``atoms @ encoded``, with no atom matrix.
+
+    The rows the chunks use are projected through the mask once.  Each
+    run of consecutive chunks under one code then takes a single product
+    with the code's generator: its j-th chunk's k projected rows become
+    columns ``j * N`` onward of one (k, chunks * N) operand, and the
+    product's column blocks, stacked again, are the run's atoms.
+    """
+    cols = encoded.shape[1]
+    rows = _mat_mul_reduced(mask[: chunks[-1].rows[1]], encoded, p)
+    parts = []
+    for _, run in groupby(chunks, key=lambda c: id(c.code)):
+        run = list(run)
+        code = run[0].code
+        block = rows[run[0].rows[0] : run[-1].rows[1]]
+        if code is None:
+            parts.append(block)
+            continue
+        side = block.reshape(len(run), code.k, cols).transpose(1, 0, 2).reshape(code.k, -1)
+        answers = _mat_mul_reduced(code.gen_t, side, p)
+        parts.append(answers.reshape(code.n, len(run), cols).transpose(1, 0, 2).reshape(-1, cols))
+    return np.vstack(parts)
+
+
 def run_session(plan: QueryPlan, db: Database, adversary: Adversary | None = None) -> Transcript:
     """Answer every planned query against the database encoded with the plan's storage code.
 
-    ``proj = atom_coeffs[f] @ (W_f @ G)`` answers every atom of file f at
-    every server; a block's answers add ``c * proj[atom_start[f] :][:b]``
+    File f's atoms are its chunk generators times its mask rows, so
+    ``proj = blockdiag(generators) @ (mask_f @ W_f @ G)`` answers every
+    atom of file f at every server: the mask projects the encoded file
+    once, and each run of consecutive chunks under one code takes one
+    2-D product, its row blocks laid side by side as a (k, chunks * N)
+    operand.  A block's answers add ``c * proj[atom_start[f] :][:b]``
     over its files, c its mixing entry or 1, reduced after each addition.
     """
     p, b = plan.params.modulus, plan.n_symbols
@@ -203,7 +235,7 @@ def run_session(plan: QueryPlan, db: Database, adversary: Adversary | None = Non
     encoded = np.column_stack([s.contents for s in encode_database(db, code)])
     table = np.zeros((len(plan.blocks), b, code.n_servers), dtype=np.int64)
     for f in range(plan.params.n_files):
-        proj = _mat_mul_reduced(plan.atom_coeffs[f], encoded[f * db.l_rows : (f + 1) * db.l_rows], p)
+        proj = _atom_answers(plan.layout.chunks[f], plan.masks[f], encoded[f * db.l_rows : (f + 1) * db.l_rows], p)
         blocks = [blk for blk in plan.blocks if f in blk.atom_start]
         ids = [blk.index for blk in blocks]
         rows = np.array([blk.atom_start[f] for blk in blocks])[:, None] + np.arange(b)

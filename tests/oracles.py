@@ -299,16 +299,31 @@ def decode_shared_query(responses: Mapping[int, int], code: StorageCode) -> np.n
 # --- privacy audit ------------------------------------------------------------------
 
 
+def atom_coeffs(plan) -> tuple[np.ndarray, ...]:
+    """Every file's atom coefficients as one product: the block-diagonal
+    matrix of its chunk generators (an identity block where a chunk has no
+    code) times its whole mask.  The library derives no atom matrix."""
+    atoms = []
+    for chunks, mask in zip(plan.layout.chunks, plan.masks):
+        diag = np.zeros((chunks[-1].atoms[1], plan.l_rows), dtype=np.int64)
+        for c in chunks:
+            gen = np.eye(c.k, dtype=np.int64) if c.code is None else c.code.gen_t
+            diag[c.atoms[0] : c.atoms[1], c.rows[0] : c.rows[1]] = gen
+        atoms.append(gf.mat_mul(diag, mask, plan.params.modulus))
+    return tuple(atoms)
+
+
 def dense_view_ranks(plan, servers) -> tuple[int, ...]:
     """Per-file rank of the visible atom coefficients, by elimination."""
     visible = plan.visible_symbols(servers)
+    coeffs = atom_coeffs(plan)
     ranks = []
     for f in range(plan.params.n_files):
         atom_ids: set[int] = set()
         for blk in plan.blocks:
             if f in blk.label:
                 atom_ids.update(blk.atom_start[f] + s for s in visible)
-        rows = plan.atom_coeffs[f][sorted(atom_ids)]
+        rows = coeffs[f][sorted(atom_ids)]
         ranks.append(gf.mat_rank(rows, plan.params.modulus))
     return tuple(ranks)
 
@@ -354,7 +369,7 @@ def plan_json(plan) -> str:
         "schema": "coded-pir-plan/1",
         "params": plans.params_to_dict(plan.params),
         **plans._bookkeeping(plan.params, plan.layout),
-        "atom_coeffs": [a.tolist() for a in plan.atom_coeffs],
+        "atom_coeffs": [a.tolist() for a in atom_coeffs(plan)],
         "masks": [s.tolist() for s in plan.masks],
         "mix_matrix": None if plan.mix_matrix is None else plan.mix_matrix.tolist(),
     }

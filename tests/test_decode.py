@@ -227,7 +227,7 @@ def test_recovered_atoms_cover_every_desired_atom():
         db = cp.database_for_plan(plan, seed=5)
         record = cp.recovered_atoms(plan, cp.run_session(plan, db))
         for f in params.desired:
-            n_atoms = plan.atom_coeffs[f].shape[0]
+            n_atoms = oracles.atom_coeffs(plan)[f].shape[0]
             assert set(record.values[f]) == set(range(n_atoms))
             assert set(record.flags[f].values()) == {"direct"}
 

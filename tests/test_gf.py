@@ -53,6 +53,22 @@ def test_elimination_refuses_non_matrices_naming_the_shape(call, a):
         call(a)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: gf.mat_mul(3, 4, 7), "() @ ()"),
+    (lambda: gf.mat_mul([1, 2], 4, 7), "(2,) @ ()"),
+    (lambda: gf.mat_mul(3, [[1], [2]], 7), "() @ (2, 1)"),
+    (lambda: gf.mat_mul([[1, 2]], [1, 2, 3], 7), "(1, 2) @ (3,)"),
+    (lambda: gf.FieldRng(1, 7).elements(-1), "got -1"),
+    (lambda: gf.FieldRng(1, 7).nonzero(-3), "got -3"),
+    (lambda: gf.FieldRng(1, 7).matrix(-2, -3), "(-2, -3)"),
+    (lambda: gf.FieldRng(1, 7).matrix(2, -3), "(2, -3)"),
+], ids=["0-D by 0-D", "1-D by 0-D", "0-D by 2-D", "inner mismatch",
+        "negative count", "negative nonzero count", "negative shape", "one negative side"])
+def test_products_and_draws_refuse_bad_shapes_naming_them(call, message):
+    with pytest.raises(gf.FieldError, match=re.escape(message)):
+        call()
+
+
 # --- solve / inverse ------------------------------------------------------
 
 

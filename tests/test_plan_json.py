@@ -3,6 +3,7 @@ documents against their list-based oracles, and the loader's refusals."""
 
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coded_pir as cp
+from coded_pir import plans as plans_module
 from coded_pir.plans import _matrix_json
 from conftest import FACTORIES, multifile_params, robust_params
 from feasible import feasible_params
-from oracles import matrix_json, plan_json, plan_json_v2
+from oracles import atom_coeffs, matrix_json, plan_json, plan_json_v2
 from test_plan_pins import SCALE_PARAMS
 
 # --- the writer against json.dumps(a.tolist()) -----------------------------------
@@ -56,6 +58,32 @@ def test_plan_to_json_matches_list_document(name, seed):
     assert cp.plan_to_json(plan) == plan_json_v2(plan)
 
 
+@pytest.mark.parametrize("chunk", [3, 6, 21])
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_plan_to_json_matches_list_document_in_small_chunks(name, chunk, monkeypatch):
+    # Chunks far smaller than a mask, most of them straddling two masks.
+    monkeypatch.setattr(plans_module, "_B64_CHUNK", chunk)
+    plan = cp.build_plan(FACTORIES[name](seed=3))
+    assert cp.plan_to_json(plan) == plan_json_v2(plan)
+
+
+def test_plan_to_json_holds_no_full_size_copy_of_the_masks():
+    # The masks of the scale plan are 4.1 MB as uint32 and 5.5 MB as
+    # base64 text; a writer that stacks them (int64), copies them to
+    # uint32 and encodes the whole at once peaks near 4.5 times the
+    # output's length.
+    plan = cp.build_plan(cp.SchemeParams(**SCALE_PARAMS))
+    tracemalloc.start()
+    try:
+        text = cp.plan_to_json(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    same = text == plan_json_v2(plan)  # a bool: pytest would diff 5.5 MB texts
+    assert same
+    assert peak < 2.5 * len(text), (peak, len(text))
+
+
 def test_database_to_json_matches_list_document():
     db = cp.random_database(3, 20, 2, 65537, seed=5)
     want = json.dumps({"p": db.p, "files": [f.tolist() for f in db.files]},
@@ -67,18 +95,16 @@ def test_database_to_json_matches_list_document():
 
 
 def assert_v1_and_v2_load_the_built_plan(plan, adversary=None):
-    """Both documents give the built plan's masks, atoms and mixing matrix,
-    decode the built plan's session to the same files, and re-dump to the
-    built plan's v2 bytes."""
+    """Both documents give the built plan's masks, atoms (as the oracle
+    derives them) and mixing matrix, decode the built plan's session to
+    the same files, and re-dump to the built plan's v2 bytes."""
     v2 = cp.plan_to_json(plan)
     db = cp.database_for_plan(plan, seed=11)
     transcript = cp.run_session(plan, db, adversary=adversary)
     for text in (plan_json(plan), v2):
         loaded = cp.plan_from_json(text)
-        assert ("atom_coeffs" in loaded.__dict__) == (text != v2)  # v2 derives them on first use
-        for name in ("masks", "atom_coeffs"):
-            got, want = getattr(loaded, name), getattr(plan, name)
-            assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want)), name
+        for got, want in ((loaded.masks, plan.masks), (atom_coeffs(loaded), atom_coeffs(plan))):
+            assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
         assert (loaded.mix_matrix is None) == (plan.mix_matrix is None)
         assert plan.mix_matrix is None or np.array_equal(loaded.mix_matrix, plan.mix_matrix)
         files = cp.reconstruct(loaded, transcript)
@@ -230,6 +256,18 @@ def test_plan_from_json_refuses_malformed_v2_documents(plans, case):
 def test_plan_from_json_refuses_a_document_that_is_not_an_object():
     with pytest.raises(cp.SchemeError, match="unknown plan schema None"):
         cp.plan_from_json("[1, 2]")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("not json", r"^plan JSON is malformed: Expecting value at line 1 column 1$"),
+    ('{"schema": 1,\n "params" 2}', r"^plan JSON is malformed: Expecting ':' delimiter at line 2 column 11$"),
+    ("", r"^plan JSON is malformed: Expecting value at line 1 column 1$"),
+    ("[" * 100000, r"^plan JSON nests arrays or objects too deeply to parse$"),
+    ('{"a":' * 100000, r"^plan JSON nests arrays or objects too deeply to parse$"),
+])
+def test_plan_from_json_refuses_text_that_is_not_json(text, message):
+    with pytest.raises(cp.SchemeError, match=message):
+        cp.plan_from_json(text)
 
 
 def test_plan_from_json_accepts_unsorted_spaced_documents(plans):

@@ -1,11 +1,12 @@
 import json
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import coded_pir as cp
+from coded_pir import plans
 from conftest import (
     FACTORIES,
     byzantine_params,
@@ -15,7 +16,7 @@ from conftest import (
     robust_params,
 )
 from feasible import SMALL_FEASIBLE
-from oracles import plan_json
+from oracles import atom_coeffs, plan_json
 
 
 # --- ratio --------------------------------------------------------------------
@@ -162,13 +163,21 @@ def test_validate_plan_catches_changed_atom_coeffs(factory, file):
         cp.plan_from_json(json.dumps(doc))
 
 
-def test_atoms_are_derived_not_stored(robust_plan):
-    assert "atom_coeffs" not in {f.name for f in fields(cp.QueryPlan)}
-    assert "atom_coeffs" in robust_plan.__dict__  # build_plan derives them while it builds
-    loaded = cp.plan_from_json(cp.plan_to_json(robust_plan))
-    assert "atom_coeffs" not in loaded.__dict__
-    cp.run_session(loaded, cp.database_for_plan(loaded, seed=1))
-    assert "atom_coeffs" in loaded.__dict__
+def test_atoms_are_derived_not_stored(monkeypatch):
+    # A plan holds its masks only: building, answering and decoding all
+    # succeed with the one helper that derives an atom matrix refused.
+    def refuse(*args):
+        raise AssertionError("an atom matrix was derived")
+
+    monkeypatch.setattr(plans, "_atom_matrix", refuse)
+    for name, factory in sorted(FACTORIES.items()):
+        built = cp.build_plan(factory())
+        for plan in (built, cp.plan_from_json(cp.plan_to_json(built))):
+            db = cp.database_for_plan(plan, seed=1)
+            files = cp.reconstruct(plan, cp.run_session(plan, db))
+            assert sorted(files) == list(plan.params.desired), name
+            assert all(np.array_equal(files[f], db.files[f]) for f in files), name
+        assert not hasattr(built, "atom_coeffs")
 
 
 def test_plan_to_json_refuses_masks_outside_the_field(robust_plan):
@@ -228,7 +237,7 @@ def test_plan_json_roundtrip():
 def test_desired_atoms_cover_all_mask_rows(proto_plan, robust_plan):
     # prototype: desired atoms are the mask rows themselves
     des = proto_plan.params.desired[0]
-    assert np.array_equal(proto_plan.atom_coeffs[des], proto_plan.masks[des])
+    assert np.array_equal(atom_coeffs(proto_plan)[des], proto_plan.masks[des])
     # robust: one small-code chunk per desired block; their rows tile [0, L)
     chunks = robust_plan.layout.chunks[robust_plan.params.desired[0]]
     assert all(c.code is robust_plan.small_code for c in chunks)

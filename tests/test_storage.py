@@ -192,6 +192,16 @@ def test_database_from_json_refuses_malformed_documents(text, field):
         cp.database_from_json(text)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("not json", r"^database JSON is malformed: Expecting value at line 1 column 1$"),
+    ('{"p": 7,\n "files": [[[1]]]', r"^database JSON is malformed: Expecting ',' delimiter at line 2 column 18$"),
+    ("[" * 100000, r"^database JSON nests arrays or objects too deeply to parse$"),
+])
+def test_database_from_json_refuses_text_that_is_not_json(text, message):
+    with pytest.raises(cp.StorageError, match=message):
+        cp.database_from_json(text)
+
+
 def test_random_database_deterministic():
     a = cp.random_database(2, 4, 2, 65537, seed=6)
     b = cp.random_database(2, 4, 2, 65537, seed=6)
