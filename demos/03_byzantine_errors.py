@@ -19,7 +19,7 @@ plan = cp.build_plan(params)
 db = cp.database_for_plan(plan, seed=12)
 print(f"alpha={plan.ab.alpha}, L={plan.l_rows}, blocks={len(plan.blocks)}")
 print("interference code:", f"({plan.big_code.n}, {plan.big_code.k})",
-      "-> corrects", cp.puncture(plan.big_code, range(plan.n_symbols, plan.big_code.n)).max_errors,
+      "-> corrects", (plan.big_code.n - plan.n_symbols - plan.big_code.k) // 2,
       "errors on its observed part")
 print("per-block code:   ", f"({plan.small_code.n}, {plan.small_code.k})",
       "-> corrects", plan.small_code.max_errors, "errors per desired block")

@@ -21,10 +21,8 @@ from .gf import (
     FieldRng,
     NoSolution,
     derive_seed,
-    mat_inv,
     mat_mul,
     mat_rank,
-    mat_solve,
     sample_invertible,
 )
 from .patterns import (
@@ -81,12 +79,10 @@ from .rs import (
     NotACodeword,
     RsCode,
     TooFewKnown,
-    TooShort,
     encode,
     erasure_complete,
     error_correct,
     message_from_codeword,
-    puncture,
     recover_message,
     rs_transposed_generator,
 )

@@ -234,10 +234,8 @@ def _reconstruct_multifile(
             record.add_word(f, 0, full[:shared], known)
 
     h = plan.mix_matrix
-    try:
-        hd_inv = plan.mix_inverse
-    except NoSolution as exc:
-        raise DecodingFailure("mixing matrix is singular on the desired columns") from exc
+    if plan.mix_factors.rank < len(desired):
+        raise DecodingFailure("mixing matrix is singular on the desired columns")
     for lam in range(ab.beta):
         rhs = np.empty((len(desired), b, k), dtype=np.int64)
         for row in range(len(desired)):
@@ -248,8 +246,7 @@ def _reconstruct_multifile(
                 for f in undesired:
                     acc = (acc - int(h[row, f]) * atom_vals[f][t]) % p
                 rhs[row, s] = acc
-        solved = _mat_mul_reduced(hd_inv, rhs.reshape(len(desired), b * k), p)
-        solved = solved.reshape(len(desired), b, k)
+        solved = plan.mix_factors.solve(rhs.reshape(len(desired), b * k)).reshape(len(desired), b, k)
         for i, f in enumerate(desired):
             atom_vals[f][lam * b : (lam + 1) * b] = solved[i]
             if record is not None:

@@ -13,10 +13,10 @@ larger calls on its thread pool, and for about its first second a pooled
 call can cost hundreds of times a single-threaded one.
 
 One elimination kernel, ``_eliminate``, is behind ``row_reduce``,
-``mat_rank`` and ``factor``, and through them ``mat_solve``, ``mat_inv``
-and ``sample_invertible``.  It is blocked: pivots are found column by
-column inside narrow panels, and the rest of the matrix is updated with
-one product per panel, so the O(n**3) work runs in matmul and each pivot
+``mat_rank`` and ``factor``, and through ``factor`` behind
+``sample_invertible``.  It is blocked: pivots are found column by column
+inside narrow panels, and the rest of the matrix is updated with one
+product per panel, so the O(n**3) work runs in matmul and each pivot
 touches only its panel.  The panel's work copy is held transposed, so
 each pivot's update runs along rows of the copy as long as the matrix is
 tall: at L <= 384, numpy's cost on short strided rows, not the panel's
@@ -29,9 +29,10 @@ as FFLAS-FFPACK's ``fgemm`` does with its beta term.  They are updated
 in place: each swap of the pivot search moves the two rows of ``m``
 right of the panel too, so they need no gather into the panel's order.
 ``factor`` keeps each panel's row operations, which a rank test computes
-anyway, as a :class:`Factored` matrix: a square system then solves
-through them with a few products per panel, and ``sample_invertible``
-returns its draw so factored, with no inverse ever taken.
+anyway, as a :class:`Factored` matrix, whose ``solve`` is the one
+square solve: a system solves through them with a few products per
+panel, and ``sample_invertible`` returns its draw so factored, with no
+inverse ever taken.
 
 Randomness comes from a counter-based SplitMix64 stream mapped onto field
 elements by rejection sampling below the largest multiple of p, which
@@ -78,7 +79,7 @@ class FieldError(Exception):
 
 
 class NoSolution(FieldError):
-    """The linear system is inconsistent or lacks full column rank."""
+    """The system has no unique solution: its matrix is singular or not square."""
 
 
 def is_prime(n: int) -> bool:
@@ -432,44 +433,6 @@ def _factor_reduced(matrix: np.ndarray, p: int) -> Factored:
     panels: list[Panel] = []
     rank = len(_eliminate(matrix.copy(), p, matrix.shape[1], reduced=False, panels=panels))
     return Factored(matrix, p, rank, tuple(panels))
-
-
-def mat_solve(a, b, p: int) -> np.ndarray:
-    """Solve ``a @ x = b`` over GF(p).
-
-    Requires ``a`` to have full column rank and the system to be
-    consistent (extra equations of an over-determined system are
-    verified); raises :class:`NoSolution` otherwise.  ``b`` may be a
-    vector or a matrix of stacked right-hand sides.
-    """
-    a = _as_matrix(a, p)
-    b = as_field(b, p)
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b[:, None]
-    if b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise FieldError(f"shape mismatch for solve: {a.shape} vs {b.shape}")
-    rows, cols = a.shape
-    reduced, pivots = row_reduce(np.hstack([a, b]), p, pivot_cols=cols)
-    if len(pivots) < cols:
-        raise NoSolution(f"matrix has column rank {len(pivots)} < {cols}")
-    # Any nonzero row beyond the pivots signals inconsistency.
-    tail = reduced[len(pivots):]
-    if tail.size and np.any(tail[:, cols:]):
-        raise NoSolution("inconsistent system")
-    x = reduced[:cols, cols:]
-    return x[:, 0] if vector_rhs else x
-
-
-def mat_inv(a, p: int) -> np.ndarray:
-    """Inverse of a square matrix over GF(p)."""
-    a = as_field(a, p)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise FieldError(f"inverse needs a square matrix, got shape {a.shape}")
-    try:
-        return mat_solve(a, np.eye(a.shape[0], dtype=np.int64), p)
-    except NoSolution as exc:
-        raise NoSolution("matrix is singular") from exc
 
 
 def mix64(z: int) -> int:

@@ -19,10 +19,10 @@ atoms out.
 Construction, validation, the privacy audit (``rates``), decoding and
 the plan JSON all read the one layout.  The plan JSON (v2) stores only
 the parameters, the masks and the mixing matrix; the layout is derived
-again on load.  A v1 document, which also stores the bookkeeping and the
-atoms, still loads if they agree with what the parameters and masks
-give.  Identical (params, seed) pairs produce bit-identical plans on
-every platform.
+again on load.  A v1 document, which also stored the bookkeeping and the
+atoms, is refused: identical (params, seed) pairs produce bit-identical
+plans on every platform, so building its params again gives the same
+plan.
 
 Variant summary, writing g = alpha + beta, b = number of assisting-array
 symbols, b_T = C(N-T,K), b_S = C(N-S,K), e_B = 2*C(N-B,K) - C(N,K):
@@ -56,7 +56,6 @@ from .gf import (
     check_modulus,
     derive_seed,
     factor,
-    mat_inv,
     mat_mul,
     mat_rank,
     sample_invertible,
@@ -402,10 +401,10 @@ class QueryPlan:
         )
 
     @cached_property
-    def mix_inverse(self) -> np.ndarray:
-        """Inverse of the mixing matrix on the desired columns (NoSolution if singular)."""
+    def mix_factors(self) -> Factored:
+        """The mixing matrix on the desired columns, factored for decoding through it."""
         assert self.mix_matrix is not None
-        return mat_inv(self.mix_matrix[:, list(self.params.desired)], self.params.modulus)
+        return factor(self.mix_matrix[:, list(self.params.desired)], self.params.modulus)
 
     @cached_property
     def symbol_inverses(self) -> np.ndarray:
@@ -611,11 +610,10 @@ def validate_plan(plan: QueryPlan) -> list[str]:
     """Check what the layout does not guarantee; return the violations found.
 
     The layout, the queries and the atoms are derived from the
-    parameters and masks, so they hold by construction (``plan_from_json``
-    refuses a v1 document whose stored bookkeeping or atoms differ).
-    What is left: the parameters, and the one premise of the privacy
-    audit's rank count (module ``rates``) that construction does not
-    give a loaded plan: every mask is invertible.
+    parameters and masks, so they hold by construction.  What is left:
+    the parameters, and the one premise of the privacy audit's rank
+    count (module ``rates``) that construction does not give a loaded
+    plan: every mask is invertible.
     """
     params = plan.params
     try:
@@ -633,7 +631,6 @@ def validate_plan(plan: QueryPlan) -> list[str]:
 # --- canonical JSON serialization -------------------------------------------
 
 _SCHEMA = "coded-pir-plan/2"
-_SCHEMA_V1 = "coded-pir-plan/1"
 _FIELDS = {"schema", "params", "masks", "mix_matrix"}
 
 
@@ -708,103 +705,6 @@ def params_from_dict(data: dict) -> SchemeParams:
     return SchemeParams(**fields)
 
 
-def _bookkeeping(params: SchemeParams, layout: Layout) -> dict:
-    """The v1 plan JSON fields that the layout determines, as the layout gives them.
-
-    A block's ``desired_rows`` are the mask rows of the desired file's
-    chunk behind its atoms, when that chunk has a code.
-    """
-    b, des = layout.array.n_symbols, params.desired[0]
-
-    def desired_rows(blk: Block) -> list[int] | None:
-        if des not in blk.atom_start:
-            return None
-        a = blk.atom_start[des]
-        chunk = next(c for c in layout.chunks[des] if c.atoms[0] <= a < c.atoms[1])
-        return None if chunk.code is None else list(chunk.rows)
-
-    def code(c: rs.RsCode | None) -> dict | None:
-        return None if c is None else {"n": c.n, "k": c.k}
-
-    return {
-        "alpha": layout.ab.alpha,
-        "beta": layout.ab.beta,
-        "l_rows": layout.l_rows,
-        "array": {
-            "symbols": [list(s) for s in layout.array.symbols],
-            "columns": [list(c) for c in layout.array.columns],
-        },
-        "blocks": [
-            {
-                "label": list(blk.label),
-                "atoms": {str(f): list(range(a, a + b)) for f, a in sorted(blk.atom_start.items())},
-                "mix_row": blk.mix_row,
-                "mix_round": blk.mix_round,
-                "desired_rows": desired_rows(blk),
-            }
-            for blk in layout.blocks
-        ],
-        "groups": [
-            {
-                "base_label": list(g.base_label),
-                "pure_blocks": list(g.pure_blocks),
-                "mixed_blocks": list(g.mixed_blocks),
-                "atom_start": {str(f): c.atoms[0] for f, c in sorted(g.chunks.items())},
-                "row_slices": {str(f): list(c.rows) for f, c in sorted(g.chunks.items())},
-            }
-            for g in layout.groups
-        ],
-        "big_code": code(layout.big_code),
-        "small_code": code(layout.small_code),
-    }
-
-
-def _matrix_json(a: np.ndarray) -> str:
-    """``json.dumps(a.tolist(), separators=(",", ":"))`` for a 2-D integer array.
-
-    The same text, built in numpy without a Python int per entry: the
-    digits come from repeated floor division into one grid of fixed-width
-    slots (sign, digits, then "," or "]"), and one boolean compaction
-    drops the leading zeros and the signs of non-negative entries.
-    """
-    rows, cols = a.shape
-    if not rows * cols:
-        return "[" + ",".join(["[]"] * rows) + "]"
-    neg = a < 0
-    sign = int(neg.any())
-    mag = a.astype(np.uint64)  # negatives in two's complement
-    if sign:
-        mag = np.where(neg, -mag, mag)  # |a|, -2**63 included
-    top = int(mag.max())
-    if top < 2**32:
-        mag = mag.astype(np.uint32)  # narrower division, same digits
-    width = len(str(top))
-    slot = sign + width + 1
-    text = np.empty((rows, cols * slot + 2), dtype=np.uint8)
-    keep = np.ones(text.shape, dtype=bool)
-    text[:, 0] = ord("[")
-    text[:, -1] = ord(",")
-    text[-1, -1] = ord("]")
-    body = text[:, 1:-1].reshape(rows, cols, slot)
-    kept = keep[:, 1:-1].reshape(rows, cols, slot)
-    body[..., -1] = ord(",")
-    body[:, -1, -1] = ord("]")
-    if sign:
-        body[..., 0] = ord("-")
-        kept[..., 0] = neg
-    for j in range(sign + width - 1, sign - 1, -1):
-        if j < sign + width - 1:
-            kept[..., j] = mag > 0  # kept while a nonzero digit is left at or above it
-        rest = mag // 10
-        body[..., j] = mag - rest * 10 + ord("0")
-        mag = rest
-    return "[" + text[keep].tobytes().decode("ascii")
-
-
-def _matrices_json(arrays) -> str:
-    return "[" + ",".join(map(_matrix_json, arrays)) + "]"
-
-
 def _json_object(fields: dict[str, str | list[str]]) -> str:
     """A JSON object from already-encoded values, keys sorted as ``sort_keys`` does.
 
@@ -866,14 +766,14 @@ def plan_to_json(plan: QueryPlan) -> str:
     of ``{schema, params, masks, mix_matrix}``.  ``masks`` is base64 of
     every file's L x L mask as little-endian uint32, row-major, file after
     file (every modulus is below 2**32), encoded in chunks and joined once
-    with the rest of the text; ``mix_matrix`` is written by
-    ``_matrix_json``, or null off multifile.
+    with the rest of the text; ``mix_matrix`` is a list of integer rows,
+    or null off multifile.
     """
     fields = {
         "schema": _compact(_SCHEMA),
         "params": _compact(params_to_dict(plan.params)),
         "masks": _masks_base64(plan),
-        "mix_matrix": "null" if plan.mix_matrix is None else _matrix_json(plan.mix_matrix),
+        "mix_matrix": _compact(None if plan.mix_matrix is None else plan.mix_matrix.tolist()),
     }
     return _json_object(fields)
 
@@ -914,13 +814,6 @@ def _stored_matrix(value, name: str, shape: tuple[int, int] | None, p: int, erro
     return a.astype(np.int64, copy=False)
 
 
-def _stored_matrices(doc: dict, name: str, shapes: list[tuple[int, int]], p: int) -> tuple[np.ndarray, ...]:
-    value = doc.get(name)
-    if not isinstance(value, list) or len(value) != len(shapes):
-        raise SchemeError(f"{name} must be a list of {len(shapes)} matrices")
-    return tuple(_stored_matrix(v, f"{name}[{i}]", s, p) for i, (v, s) in enumerate(zip(value, shapes)))
-
-
 def _stored_masks(value, m: int, l_rows: int, p: int) -> tuple[np.ndarray, ...]:
     """The v2 ``masks``: strict base64 of exactly m L x L little-endian uint32 masks, entries below p."""
     if not isinstance(value, str):
@@ -940,49 +833,36 @@ def _stored_masks(value, m: int, l_rows: int, p: int) -> tuple[np.ndarray, ...]:
 
 
 def plan_from_json(text: str) -> QueryPlan:
-    """Load a v2 or v1 plan; its layout is derived from the stored params.
+    """Load a v2 plan; its layout is derived from the stored params.
 
-    A v2 document must hold exactly ``schema``, ``params``, ``masks``
-    and ``mix_matrix``.  A v1 document's bookkeeping and atom
-    coefficients must equal those derived, or SchemeError names them.
-    Either way SchemeError refuses masks that are not integers in [0, p)
-    of shape L x L, one per file, and a mixing matrix that is not P x M
-    integers in [0, p) exactly when the variant is multifile, and text
-    that is not JSON, naming the line and column or the nesting.  No
-    query is assembled, and the plan keeps no atoms.
+    The document must hold exactly ``schema``, ``params``, ``masks`` and
+    ``mix_matrix``.  SchemeError refuses a v1 document, naming its
+    schema, and masks that are not L x L integers in [0, p), one per
+    file, and a mixing matrix that is not P x M integers in [0, p)
+    exactly when the variant is multifile, and text that is not JSON,
+    naming the line and column or the nesting.  No query is assembled,
+    and the plan keeps no atoms.
     """
     doc = _parse_json(text, "plan JSON", SchemeError, _refuse_float)
     schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema not in (_SCHEMA, _SCHEMA_V1):
+    if schema == "coded-pir-plan/1":
+        raise SchemeError(
+            f"plan schema {schema!r} is no longer read; `coded-pir build` with the document's params"
+            " regenerates the identical plan"
+        )
+    if schema != _SCHEMA:
         raise SchemeError(f"unknown plan schema {schema!r}")
-    v1 = schema == _SCHEMA_V1
-    if not v1 and set(doc) != _FIELDS:
+    if set(doc) != _FIELDS:
         raise SchemeError(f"a {_SCHEMA} plan has the fields {sorted(doc)}, not {sorted(_FIELDS)}")
     params = params_from_dict(doc["params"])
     layout = derive_layout(params)
-    p, m, l_rows = params.modulus, params.n_files, layout.l_rows
-    if v1:
-        wrong = [key for key, value in _bookkeeping(params, layout).items() if doc.get(key) != value]
-        if wrong:
-            raise SchemeError(f"stored {', '.join(wrong)} disagree with the layout of the parameters")
-        atoms = _stored_matrices(doc, "atom_coeffs", [(c[-1].atoms[1], l_rows) for c in layout.chunks], p)
-        masks = _stored_matrices(doc, "masks", [(l_rows, l_rows)] * m, p)
-    else:
-        masks = _stored_masks(doc["masks"], m, l_rows, p)
-    mix = doc.get("mix_matrix")
+    p, m = params.modulus, params.n_files
+    masks = _stored_masks(doc["masks"], m, layout.l_rows, p)
+    mix = doc["mix_matrix"]
     if params.variant is Variant.MULTI_FILE:
         if mix is None:
             raise SchemeError("mix_matrix is missing from a multifile plan")
         mix = _stored_matrix(mix, "mix_matrix", (params.p_desired, m), p)
     elif mix is not None:
         raise SchemeError(f"mix_matrix is stored on a {params.variant.value} plan")
-    plan = QueryPlan(params=params, layout=layout, masks=masks, mix_matrix=mix)
-    if v1:
-        wrong = [
-            f"atom_coeffs[{f}]"
-            for f, (a, chunks) in enumerate(zip(atoms, layout.chunks))
-            if not np.array_equal(a, _atom_matrix(chunks, masks[f], p))
-        ]
-        if wrong:
-            raise SchemeError(f"stored {', '.join(wrong)} are not the chunk generators times the mask rows")
-    return plan
+    return QueryPlan(params=params, layout=layout, masks=masks, mix_matrix=mix)

@@ -25,9 +25,7 @@ premises:
 - every chunk's atoms are its MDS generator times its mask rows: a plan
   stores no atoms, only its masks, and a session answers each chunk
   through its generator applied to the mask's projection of the file
-  (``storage.run_session``; Reed-Solomon generators are MDS), while
-  ``plans.plan_from_json`` refuses a v1 document whose stored atoms
-  differ.
+  (``storage.run_session``; Reed-Solomon generators are MDS).
 """
 
 from __future__ import annotations

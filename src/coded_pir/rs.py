@@ -24,7 +24,6 @@ Decoding surfaces:
   Kiayias and Yung, ICALP 2003).
 - :func:`erasure_complete` and :func:`error_correct` re-encode its
   message into the full codeword.
-- :func:`puncture` restricts a code to a subset of positions.
 """
 
 from __future__ import annotations
@@ -49,10 +48,6 @@ class InvalidShape(CodingError):
 
 
 class TooFewKnown(CodingError):
-    pass
-
-
-class TooShort(CodingError):
     pass
 
 
@@ -121,18 +116,6 @@ def encode(code: RsCode, message) -> np.ndarray:
     if message.shape[0] != code.k:
         raise InvalidShape(f"message has {message.shape[0]} rows, expected {code.k}")
     return _mat_mul_reduced(code.gen_t, message, code.p)
-
-
-def puncture(code: RsCode, keep) -> RsCode:
-    """Restriction of the code to the kept positions (still MDS)."""
-    positions = sorted(set(int(i) for i in keep))
-    if any(i < 0 or i >= code.n for i in positions):
-        raise InvalidShape(f"positions out of range [0, {code.n})")
-    if len(positions) < code.k:
-        raise TooShort(f"{len(positions)} positions kept, need at least k={code.k}")
-    # Rows of a Vandermonde matrix depend only on their own point.
-    return RsCode(n=len(positions), k=code.k, p=code.p,
-                  eval_points=code.eval_points[positions], gen_t=code.gen_t[positions])
 
 
 def _as_columns(code: RsCode, values) -> tuple[np.ndarray, bool]:

@@ -10,7 +10,6 @@ counts responses that actually arrived.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable
@@ -20,7 +19,7 @@ import numpy as np
 from . import rs
 from .gf import DEFAULT_MODULUS, FieldError, FieldRng, _mat_mul_reduced, _reduce, as_field
 from .gf import check_modulus, derive_seed, mat_mul
-from .plans import Chunk, QueryPlan, _json_object, _matrices_json, _parse_json, _stored_matrix
+from .plans import Chunk, QueryPlan, _compact, _parse_json, _stored_matrix
 
 DATABASE_STREAM = 2
 ADVERSARY_STREAM = 3
@@ -97,11 +96,8 @@ def database_for_plan(plan: QueryPlan, seed: int | None = None) -> Database:
 
 
 def database_to_json(db: Database) -> str:
-    """``json.dumps({"files": [...], "p": p}, sort_keys=True, separators=(",", ":"))``.
-
-    Each file is written by the plan JSON's exact integer-matrix writer.
-    """
-    return _json_object({"files": _matrices_json(db.files), "p": json.dumps(db.p)})
+    """``json.dumps({"files": [...], "p": p}, sort_keys=True, separators=(",", ":"))``."""
+    return _compact({"files": [f.tolist() for f in db.files], "p": db.p})
 
 
 def database_from_json(text: str) -> Database:
@@ -231,8 +227,10 @@ def run_session(plan: QueryPlan, db: Database, adversary: Adversary | None = Non
         )
     if any(n < 0 or n >= code.n_servers for n in adversary.robust_set + adversary.byzantine_set):
         raise ShapeMismatch("adversary names servers outside the system")
+    if db.p != p:
+        raise ShapeMismatch(f"storage code modulus {p} != database modulus {db.p}")
 
-    encoded = np.column_stack([s.contents for s in encode_database(db, code)])
+    encoded = mat_mul(np.vstack(db.files), code.gen, p)  # (M*L) x N: column n is server n's contents
     table = np.zeros((len(plan.blocks), b, code.n_servers), dtype=np.int64)
     for f in range(plan.params.n_files):
         proj = _atom_answers(plan.layout.chunks[f], plan.masks[f], encoded[f * db.l_rows : (f + 1) * db.l_rows], p)

@@ -291,7 +291,7 @@ def decode_shared_query(responses: Mapping[int, int], code: StorageCode) -> np.n
         raise SingularSystem(f"need exactly {code.k} responses, got {len(servers)}")
     rhs = np.array([int(responses[n]) for n in servers], dtype=np.int64)
     try:
-        return gf.mat_solve(code.gen[:, servers].T, rhs, code.p)
+        return gf.factor(code.gen[:, servers].T, code.p).solve(rhs)
     except gf.NoSolution as exc:
         raise SingularSystem(f"storage code is not MDS on columns {servers}") from exc
 
@@ -354,21 +354,67 @@ def dense_session(plan, db, adversary=None) -> Transcript:
 # --- plan JSON ----------------------------------------------------------------------
 
 
-def matrix_json(a) -> str:
-    """A 2-D integer array as compact JSON, through Python lists."""
-    return json.dumps(np.asarray(a).tolist(), separators=(",", ":"))
+def bookkeeping(params: plans.SchemeParams, layout: plans.Layout) -> dict:
+    """The v1 plan JSON fields that the layout determines, as the layout gives them.
+
+    A block's ``desired_rows`` are the mask rows of the desired file's
+    chunk behind its atoms, when that chunk has a code.
+    """
+    b, des = layout.array.n_symbols, params.desired[0]
+
+    def desired_rows(blk: plans.Block) -> list[int] | None:
+        if des not in blk.atom_start:
+            return None
+        a = blk.atom_start[des]
+        chunk = next(c for c in layout.chunks[des] if c.atoms[0] <= a < c.atoms[1])
+        return None if chunk.code is None else list(chunk.rows)
+
+    def code(c: rs.RsCode | None) -> dict | None:
+        return None if c is None else {"n": c.n, "k": c.k}
+
+    return {
+        "alpha": layout.ab.alpha,
+        "beta": layout.ab.beta,
+        "l_rows": layout.l_rows,
+        "array": {
+            "symbols": [list(s) for s in layout.array.symbols],
+            "columns": [list(c) for c in layout.array.columns],
+        },
+        "blocks": [
+            {
+                "label": list(blk.label),
+                "atoms": {str(f): list(range(a, a + b)) for f, a in sorted(blk.atom_start.items())},
+                "mix_row": blk.mix_row,
+                "mix_round": blk.mix_round,
+                "desired_rows": desired_rows(blk),
+            }
+            for blk in layout.blocks
+        ],
+        "groups": [
+            {
+                "base_label": list(g.base_label),
+                "pure_blocks": list(g.pure_blocks),
+                "mixed_blocks": list(g.mixed_blocks),
+                "atom_start": {str(f): c.atoms[0] for f, c in sorted(g.chunks.items())},
+                "row_slices": {str(f): list(c.rows) for f, c in sorted(g.chunks.items())},
+            }
+            for g in layout.groups
+        ],
+        "big_code": code(layout.big_code),
+        "small_code": code(layout.small_code),
+    }
 
 
 def plan_json(plan) -> str:
     """The v1 plan document built from Python lists and dumped in one call.
 
-    The library writes v2 only; v1 documents, with their bookkeeping and
-    every atom coefficient, come from here.
+    The library writes and reads v2 only; v1 documents, with their
+    bookkeeping and every atom coefficient, come from here.
     """
     doc = {
         "schema": "coded-pir-plan/1",
         "params": plans.params_to_dict(plan.params),
-        **plans._bookkeeping(plan.params, plan.layout),
+        **bookkeeping(plan.params, plan.layout),
         "atom_coeffs": [a.tolist() for a in atom_coeffs(plan)],
         "masks": [s.tolist() for s in plan.masks],
         "mix_matrix": None if plan.mix_matrix is None else plan.mix_matrix.tolist(),

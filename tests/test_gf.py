@@ -43,10 +43,8 @@ def test_rank_counts_dependent_rows():
     lambda a: gf.mat_rank(a, 5),
     lambda a: gf.factor(a, 5),
     lambda a: gf.row_reduce(a, 5),
-    lambda a: gf.mat_solve(a, [1, 2], 5),
-    lambda a: gf.mat_inv(a, 5),
     lambda a: gf.factor(np.eye(3, dtype=np.int64), 5).solve(a),
-], ids=["mat_rank", "factor", "row_reduce", "mat_solve", "mat_inv", "Factored.solve"])
+], ids=["mat_rank", "factor", "row_reduce", "Factored.solve"])
 @pytest.mark.parametrize("a", [[1, 2], 3, np.zeros((2, 2, 2), dtype=np.int64)], ids=["1-D", "0-D", "3-D"])
 def test_elimination_refuses_non_matrices_naming_the_shape(call, a):
     with pytest.raises(gf.FieldError, match=re.escape(str(np.shape(a)))):
@@ -74,54 +72,49 @@ def test_products_and_draws_refuse_bad_shapes_naming_them(call, message):
 
 def test_solve_identity_returns_rhs():
     b = np.array([[3, 1], [4, 1]], dtype=np.int64)
-    x = gf.mat_solve(np.eye(2, dtype=np.int64), b, 5)
+    x = gf.factor(np.eye(2, dtype=np.int64), 5).solve(b)
     assert np.array_equal(x, b)
 
 
 def test_solve_two_by_two_mod5():
-    x = gf.mat_solve([[1, 1], [1, 2]], [3, 4], 5)
+    x = gf.factor([[1, 1], [1, 2]], 5).solve([3, 4])
     assert x.tolist() == [2, 1]
 
 
 def test_solve_rank_deficient_inconsistent():
     with pytest.raises(gf.NoSolution):
-        gf.mat_solve([[1, 1], [2, 2]], [1, 0], 5)
+        gf.factor([[1, 1], [2, 2]], 5).solve([1, 0])
 
 
 def test_solve_rank_deficient_consistent_still_rejected():
-    # Underdetermined systems have no unique answer; the contract is
-    # full column rank, so this must refuse even though solutions exist.
+    # A singular system has no unique answer, so this must refuse even
+    # though solutions exist.
     with pytest.raises(gf.NoSolution):
-        gf.mat_solve([[1, 1], [2, 2]], [1, 2], 5)
-
-
-def test_solve_overdetermined_consistent_and_not():
-    a = [[1, 0], [0, 1], [1, 1]]
-    assert gf.mat_solve(a, [2, 3, 5], 7).tolist() == [2, 3]
-    with pytest.raises(gf.NoSolution):
-        gf.mat_solve(a, [2, 3, 6], 7)
+        gf.factor([[1, 1], [2, 2]], 5).solve([1, 2])
 
 
 def test_solve_roundtrip_random_invertible():
     p = 65537
     rng = gf.FieldRng(5, p)
     for _ in range(10):
-        a = gf.sample_invertible(5, p, rng).matrix
+        drawn = gf.sample_invertible(5, p, rng)
         b = rng.matrix(5, 3)
-        x = gf.mat_solve(a, b, p)
-        assert np.array_equal(gf.mat_mul(a, x, p), b)
+        x = drawn.solve(b)
+        assert np.array_equal(gf.mat_mul(drawn.matrix, x, p), b)
+        assert x.tolist() == oracles.int_solve(drawn.matrix, b, p)
 
 
 def test_inverse_roundtrip():
     p = 97
     rng = gf.FieldRng(9, p)
-    a = gf.sample_invertible(6, p, rng).matrix
-    assert np.array_equal(gf.mat_mul(a, gf.mat_inv(a, p), p), np.eye(6, dtype=np.int64))
+    drawn = gf.sample_invertible(6, p, rng)
+    inverse = drawn.solve(np.eye(6, dtype=np.int64))
+    assert np.array_equal(gf.mat_mul(drawn.matrix, inverse, p), np.eye(6, dtype=np.int64))
 
 
 def test_inverse_singular_raises():
     with pytest.raises(gf.NoSolution):
-        gf.mat_inv([[1, 1], [2, 2]], 5)
+        gf.factor([[1, 1], [2, 2]], 5).solve(np.eye(2, dtype=np.int64))
 
 
 # --- differential: elimination against Python-int Gauss-Jordan ------------------
@@ -150,8 +143,9 @@ def _test_matrices(p, rng):
 
 
 def _check_against_oracles(a, p, rng, limits):
-    """row_reduce (full and at each pivot_cols limit), mat_rank, mat_solve
-    and mat_inv of ``a`` equal the Python-int Gauss-Jordan."""
+    """row_reduce (full and at each pivot_cols limit), mat_rank and
+    factor(a).solve equal the Python-int Gauss-Jordan; the factored solve
+    refuses every system that is not square."""
     rows, cols = a.shape
     want, want_pivots = oracles.int_row_reduce(a, p)
     got, got_pivots = gf.row_reduce(a, p)
@@ -162,23 +156,20 @@ def _check_against_oracles(a, p, rng, limits):
         assert got.tolist() == want and got_pivots == want_pivots, (p, a, limit)
     assert gf.mat_rank(a, p) == oracles.int_rank(a, p), (p, a)
 
+    f = gf.factor(a, p)
+    assert f.rank == oracles.int_rank(a, p), (p, a)
     x = rng.integers(0, p, (cols, 2)).astype(object)
     consistent = ((a.astype(object) @ x) % p).astype(np.int64)
-    for b in (consistent, rng.integers(0, p, (rows, 2)).astype(np.int64)):
-        want = oracles.int_solve(a, b, p)
-        if want is None:
-            with pytest.raises(gf.NoSolution):
-                gf.mat_solve(a, b, p)
-        else:
-            assert gf.mat_solve(a, b, p).tolist() == want, (p, a, b)
-
+    rhs = [consistent, rng.integers(0, p, (rows, 2)).astype(np.int64)]
     if rows == cols:
-        want = oracles.int_solve(a, np.eye(rows, dtype=np.int64), p)
+        rhs.append(np.eye(rows, dtype=np.int64))  # the inverse
+    for b in rhs:
+        want = oracles.int_solve(a, b, p) if rows == cols else None
         if want is None:
             with pytest.raises(gf.NoSolution):
-                gf.mat_inv(a, p)
+                f.solve(b)
         else:
-            assert gf.mat_inv(a, p).tolist() == want, (p, a)
+            assert f.solve(b).tolist() == want, (p, a, b)
 
 
 def test_elimination_matches_python_int_reference():
@@ -255,8 +246,8 @@ def _invertible(n, p, rng):
 
 
 def _check_factored_solve(a, p, rng, widths=RHS_WIDTHS):
-    """factor(a).solve equals the Python-int solve and mat_solve for every
-    right-hand side width, and refuses exactly what they refuse."""
+    """factor(a).solve equals the Python-int solve for every right-hand
+    side width, and refuses exactly what it refuses."""
     n = a.shape[0]
     f = gf.factor(a, p)
     b = rng.integers(0, p, (n, sum(widths))).astype(np.int64)
@@ -269,7 +260,6 @@ def _check_factored_solve(a, p, rng, widths=RHS_WIDTHS):
     assert f.rank == n
     got = f.solve(b)
     assert got.tolist() == want, (p, n)
-    assert np.array_equal(got, gf.mat_solve(a, b, p)), (p, n)
     start = 0
     for w in widths:
         assert np.array_equal(f.solve(b[:, start : start + w]), got[:, start : start + w]), (p, n, w)

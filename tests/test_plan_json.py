@@ -1,5 +1,5 @@
-"""Plan and database JSON: the exact integer-matrix writer, v1 and v2 plan
-documents against their list-based oracles, and the loader's refusals."""
+"""Plan and database JSON: v2 plan documents against their list-based
+oracle, and the loader's refusals."""
 
 import base64
 import json
@@ -7,48 +7,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 import coded_pir as cp
 from coded_pir import plans as plans_module
-from coded_pir.plans import _matrix_json
 from conftest import FACTORIES, multifile_params, robust_params
 from feasible import feasible_params
-from oracles import atom_coeffs, matrix_json, plan_json, plan_json_v2
+from oracles import atom_coeffs, plan_json_v2
 from test_plan_pins import SCALE_PARAMS
 
-# --- the writer against json.dumps(a.tolist()) -----------------------------------
-
-MODULI = (2, 3, 65537, 3037000493)
-EDGES = sorted(
-    {v for p in MODULI for v in (0, 1, 9, 10, p - 1)}
-    | {-1, -9, -10, -11, -(2**31), 2**31 - 1, 2**32, -(2**63), 2**63 - 1, -(2**63 - 1)}
-)
-
-
-@st.composite
-def _int_matrices(draw):
-    dtype = draw(st.sampled_from([np.int32, np.int64]))
-    info = np.iinfo(dtype)
-    rows = draw(st.integers(0, 4))
-    cols = draw(st.integers(0, 5))
-    edges = [v for v in EDGES if info.min <= v <= info.max]
-    entry = st.sampled_from(edges) | st.integers(int(info.min), int(info.max))
-    values = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
-    return np.array(values, dtype=dtype).reshape(rows, cols)
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(a=_int_matrices())
-@example(a=np.zeros((0, 0), dtype=np.int64))
-@example(a=np.zeros((0, 3), dtype=np.int32))
-@example(a=np.zeros((3, 0), dtype=np.int64))
-@example(a=np.array([[0]], dtype=np.int32))
-@example(a=np.array([[-(2**63), 2**63 - 1], [-(2**63 - 1), 0]], dtype=np.int64))
-@example(a=np.array([[-(2**31), 2**31 - 1, 9, 10]], dtype=np.int32))
-def test_matrix_json_matches_json_dumps(a):
-    assert _matrix_json(a) == matrix_json(a)
+# --- the writers against json.dumps of Python lists ------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -91,45 +59,44 @@ def test_database_to_json_matches_list_document():
     assert cp.database_to_json(db) == want
 
 
-# --- v1 (oracle) and v2 (library) documents load to the built plan -----------------
+# --- v2 documents load to the built plan --------------------------------------------
 
 
-def assert_v1_and_v2_load_the_built_plan(plan, adversary=None):
-    """Both documents give the built plan's masks, atoms (as the oracle
-    derives them) and mixing matrix, decode the built plan's session to
-    the same files, and re-dump to the built plan's v2 bytes."""
+def assert_v2_loads_the_built_plan(plan, adversary=None):
+    """The v2 document gives the built plan's masks, atoms (as the oracle
+    derives them) and mixing matrix, decodes the built plan's session to
+    the same files, and re-dumps to the same bytes."""
     v2 = cp.plan_to_json(plan)
     db = cp.database_for_plan(plan, seed=11)
     transcript = cp.run_session(plan, db, adversary=adversary)
-    for text in (plan_json(plan), v2):
-        loaded = cp.plan_from_json(text)
-        for got, want in ((loaded.masks, plan.masks), (atom_coeffs(loaded), atom_coeffs(plan))):
-            assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
-        assert (loaded.mix_matrix is None) == (plan.mix_matrix is None)
-        assert plan.mix_matrix is None or np.array_equal(loaded.mix_matrix, plan.mix_matrix)
-        files = cp.reconstruct(loaded, transcript)
-        assert sorted(files) == list(plan.params.desired)
-        assert all(np.array_equal(files[f], db.files[f]) for f in files)
-        assert cp.plan_to_json(loaded) == v2
+    loaded = cp.plan_from_json(v2)
+    for got, want in ((loaded.masks, plan.masks), (atom_coeffs(loaded), atom_coeffs(plan))):
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert (loaded.mix_matrix is None) == (plan.mix_matrix is None)
+    assert plan.mix_matrix is None or np.array_equal(loaded.mix_matrix, plan.mix_matrix)
+    files = cp.reconstruct(loaded, transcript)
+    assert sorted(files) == list(plan.params.desired)
+    assert all(np.array_equal(files[f], db.files[f]) for f in files)
+    assert cp.plan_to_json(loaded) == v2
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 @pytest.mark.parametrize("seed", [3, 8])
-def test_v1_and_v2_load_the_built_plan(name, seed):
+def test_v2_loads_the_built_plan(name, seed):
     plan = cp.build_plan(FACTORIES[name](seed=seed))
     assert (plan.mix_matrix is not None) == (name == "multifile")
     liar = cp.Adversary(byzantine_set=(2,), seed=seed) if name == "byzantine" else None
-    assert_v1_and_v2_load_the_built_plan(plan, liar)
+    assert_v2_loads_the_built_plan(plan, liar)
 
 
-def test_v1_and_v2_load_the_built_scale_plan():
-    assert_v1_and_v2_load_the_built_plan(cp.build_plan(cp.SchemeParams(**SCALE_PARAMS)))
+def test_v2_loads_the_built_scale_plan():
+    assert_v2_loads_the_built_plan(cp.build_plan(cp.SchemeParams(**SCALE_PARAMS)))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(params=feasible_params())
-def test_v1_and_v2_load_drawn_plans(params):
-    assert_v1_and_v2_load_the_built_plan(cp.build_plan(params))
+def test_v2_loads_drawn_plans(params):
+    assert_v2_loads_the_built_plan(cp.build_plan(params))
 
 
 # --- the loader refuses malformed matrices, naming the field -----------------------
@@ -161,40 +128,39 @@ def _delete(key):
     return edit
 
 
-P = 65537
-# v1 documents from the oracle writer.
-# case: (plan, edit, message the SchemeError must match); robust plans have M=2, L=100
-CASES = {
-    "float entry": ("robust", _set(("masks", 0, 0, 0), 1.5), "non-integer number 1.5"),
-    "integral float entry": ("robust", _set(("masks", 0, 0, 0), 2.0), "non-integer number 2.0"),
-    "string entry": ("robust", _set(("masks", 0, 0, 0), "7"), r"masks\[0\] has non-integer entries"),
-    "null entry": ("robust", _set(("atom_coeffs", 1, 2, 3), None), r"atom_coeffs\[1\] has non-integer entries"),
-    "all-boolean matrix": ("robust", _set(("masks", 1), [[True] * 100] * 100), r"masks\[1\] has non-integer entries"),
-    "booleans among integers": ("robust", _set(("masks", 0, 0, slice(0, 2)), [True, False]), r"masks\[0\] has non-integer entries"),
-    "boolean atom entry": ("robust", _set(("atom_coeffs", 1, 4, 7), False), r"atom_coeffs\[1\] has non-integer entries"),
-    "changed atom entry": ("robust", _set(("atom_coeffs", 1, 4, 7), 0), r"stored atom_coeffs\[1\] are not the chunk generators times the mask rows"),
-    "ragged rows": ("robust", _pop(("masks", 0, 1)), r"masks\[0\] has ragged rows"),
-    "entry 2**70": ("robust", _set(("masks", 0, 0, 0), 2**70), rf"masks\[0\] has entries outside \[0, {P}\)"),
-    "entry 2**64-1": ("robust", _set(("masks", 0, 0, 0), 2**64 - 1), rf"masks\[0\] has entries outside \[0, {P}\)"),
-    "negative entry": ("robust", _set(("atom_coeffs", 0, 0, 0), -1), rf"atom_coeffs\[0\] has entries outside \[0, {P}\)"),
-    "entry p": ("robust", _set(("masks", 1, 5, 5), P), rf"masks\[1\] has entries outside \[0, {P}\)"),
-    "one mask fewer": ("robust", _pop(("masks",)), "masks must be a list of 2 matrices"),
-    "masks missing": ("robust", _delete("masks"), "masks must be a list of 2 matrices"),
-    "mask one row short": ("robust", _pop(("masks", 1)), r"masks\[1\] has shape \(99, 100\), not \(100, 100\)"),
-    "atom matrix one row short": ("robust", _pop(("atom_coeffs", 0)), r"atom_coeffs\[0\] has shape"),
-    "stray mix_matrix": ("robust", _set(("mix_matrix",), [[1]]), "mix_matrix is stored on a robust plan"),
-    "mix_matrix null": ("multifile", _set(("mix_matrix",), None), "mix_matrix is missing from a multifile plan"),
-    "mix_matrix missing": ("multifile", _delete("mix_matrix"), "mix_matrix is missing from a multifile plan"),
-    "mix_matrix short": ("multifile", _pop(("mix_matrix",)), r"mix_matrix has shape \(1, 3\), not \(2, 3\)"),
-    "mix_matrix float": ("multifile", _set(("mix_matrix", 0, 0), 0.5), "non-integer number 0.5"),
-    "mix_matrix entry p": ("multifile", _set(("mix_matrix", 1, 2), P), rf"mix_matrix has entries outside \[0, {P}\)"),
-}
-
-
 def _set_mask_bytes(edit_bytes):
     def edit(doc):
         doc["masks"] = base64.b64encode(edit_bytes(base64.b64decode(doc["masks"]))).decode("ascii")
     return edit
+
+
+P = 65537
+# The stored matrices of v2 documents from the library writer: the
+# multifile plan's 2 x 3 mixing matrix, and the robust plan's masks, two
+# 100 x 100 uint32 matrices, 80000 bytes.
+# case: (plan, edit, message the SchemeError must match)
+CASES = {
+    "float entry": ("multifile", _set(("mix_matrix", 0, 0), 1.5), "non-integer number 1.5"),
+    "integral float entry": ("multifile", _set(("mix_matrix", 0, 0), 2.0), "non-integer number 2.0"),
+    "string entry": ("multifile", _set(("mix_matrix", 0, 0), "7"), "mix_matrix has non-integer entries"),
+    "null entry": ("multifile", _set(("mix_matrix", 1, 2), None), "mix_matrix has non-integer entries"),
+    "all-boolean matrix": ("multifile", _set(("mix_matrix",), [[True] * 3] * 2), "mix_matrix has non-integer entries"),
+    "booleans among integers": ("multifile", _set(("mix_matrix", 1, slice(1, 3)), [True, False]), "mix_matrix has non-integer entries"),
+    "ragged rows": ("multifile", _pop(("mix_matrix", 1)), "mix_matrix has ragged rows"),
+    "entry 2**70": ("multifile", _set(("mix_matrix", 0, 0), 2**70), rf"mix_matrix has entries outside \[0, {P}\)"),
+    "entry 2**64-1": ("multifile", _set(("mix_matrix", 0, 0), 2**64 - 1), rf"mix_matrix has entries outside \[0, {P}\)"),
+    "negative entry": ("multifile", _set(("mix_matrix", 0, 0), -1), rf"mix_matrix has entries outside \[0, {P}\)"),
+    "entry p": ("multifile", _set(("mix_matrix", 0, 0), P), rf"mix_matrix has entries outside \[0, {P}\)"),
+    "one mask fewer": ("robust", _set_mask_bytes(lambda b: b[:40000]), "masks holds 40000 bytes, not the 80000"),
+    "masks missing": ("multifile", _delete("masks"), r"has the fields \['mix_matrix', 'params', 'schema'\]"),
+    "mask one row short": ("robust", _set_mask_bytes(lambda b: b[:-400]), "masks holds 79600 bytes, not the 80000"),
+    "stray mix_matrix": ("robust", _set(("mix_matrix",), [[1, 2, 3], [4, 5, 6]]), "mix_matrix is stored on a robust plan"),
+    "mix_matrix short": ("multifile", _pop(("mix_matrix",)), r"mix_matrix has shape \(1, 3\), not \(2, 3\)"),
+    "mix_matrix float": ("multifile", _set(("mix_matrix", 1, 1), 0.5), "non-integer number 0.5"),
+    "mix_matrix null": ("multifile", _set(("mix_matrix",), None), "mix_matrix is missing from a multifile plan"),
+    "mix_matrix missing": ("multifile", _delete("mix_matrix"), r"has the fields \['masks', 'params', 'schema'\]"),
+    "mix_matrix entry p": ("multifile", _set(("mix_matrix", 0, 2), P), rf"mix_matrix has entries outside \[0, {P}\)"),
+}
 
 
 # v2 documents from the library writer; masks: two 100 x 100 uint32 masks, 80000 bytes.
@@ -238,7 +204,7 @@ def plans():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_plan_from_json_refuses_malformed_matrices(plans, case):
     name, edit, message = CASES[case]
-    doc = json.loads(plan_json(plans[name]))
+    doc = json.loads(cp.plan_to_json(plans[name]))
     edit(doc)
     with pytest.raises(cp.SchemeError, match=message):
         cp.plan_from_json(json.dumps(doc))
@@ -271,7 +237,6 @@ def test_plan_from_json_refuses_text_that_is_not_json(text, message):
 
 
 def test_plan_from_json_accepts_unsorted_spaced_documents(plans):
-    plan = plans["robust"]
-    for text in (plan_json(plan), cp.plan_to_json(plan)):
-        reordered = json.dumps(dict(reversed(list(json.loads(text).items()))), indent=1)
-        assert cp.plan_to_json(cp.plan_from_json(reordered)) == cp.plan_to_json(plan)
+    text = cp.plan_to_json(plans["robust"])
+    reordered = json.dumps(dict(reversed(list(json.loads(text).items()))), indent=1)
+    assert cp.plan_to_json(cp.plan_from_json(reordered)) == text

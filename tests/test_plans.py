@@ -16,7 +16,7 @@ from conftest import (
     robust_params,
 )
 from feasible import SMALL_FEASIBLE
-from oracles import atom_coeffs, plan_json
+from oracles import atom_coeffs, bookkeeping, plan_json
 
 
 # --- ratio --------------------------------------------------------------------
@@ -149,18 +149,58 @@ def test_validate_plan_catches_singular_mask(factory):
     assert "mask of file 0 is not invertible" in cp.validate_plan(broken)
 
 
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_plan_from_json_refuses_v1_documents(name):
+    # The oracle still writes v1, with its bookkeeping and atoms; the
+    # loader names the schema and the way to the identical v2 plan.
+    doc = plan_json(cp.build_plan(FACTORIES[name]()))
+    message = r"^plan schema 'coded-pir-plan/1' is no longer read; `coded-pir build` with the document's params"
+    with pytest.raises(cp.SchemeError, match=message):
+        cp.plan_from_json(doc)
+
+
+V1_REFUSED = r"^plan schema 'coded-pir-plan/1' is no longer read"
+
+
 @pytest.mark.parametrize("factory", [prototype_params, robust_params, multifile_params])
 @pytest.mark.parametrize("file", [0, -1])
 def test_validate_plan_catches_changed_atom_coeffs(factory, file):
-    # A plan derives its atoms from its masks, so only a v1 document,
-    # which stores them, can disagree; the loader refuses it.
+    # A plan derives its atoms from its masks, so changed atoms can only
+    # come in stored: a v1 document is refused by its schema, and a v2
+    # document that carries them has a field too many.  The v2 round trip
+    # derives the built plan's atoms again.
     plan = cp.build_plan(factory())
-    doc = json.loads(plan_json(plan))
     f = file % plan.params.n_files
-    doc["atom_coeffs"][f][3][5] = (doc["atom_coeffs"][f][3][5] + 1) % plan.params.modulus
-    message = rf"^stored atom_coeffs\[{f}\] are not the chunk generators times the mask rows$"
-    with pytest.raises(cp.SchemeError, match=message):
-        cp.plan_from_json(json.dumps(doc))
+    v1 = json.loads(plan_json(plan))
+    v1["atom_coeffs"][f][3][5] = (v1["atom_coeffs"][f][3][5] + 1) % plan.params.modulus
+    with pytest.raises(cp.SchemeError, match=V1_REFUSED):
+        cp.plan_from_json(json.dumps(v1))
+    v2 = json.loads(cp.plan_to_json(plan))
+    v2["atom_coeffs"] = v1["atom_coeffs"]
+    with pytest.raises(cp.SchemeError, match=r"has the fields \['atom_coeffs', 'masks'"):
+        cp.plan_from_json(json.dumps(v2))
+    loaded = cp.plan_from_json(cp.plan_to_json(plan))
+    assert np.array_equal(atom_coeffs(loaded)[f], atom_coeffs(plan)[f])
+
+
+def test_validate_plan_catches_block_multiplicity():
+    # Blocks are derived from the parameters, so stored bookkeeping that
+    # disagrees with them cannot be loaded: not from a v1 document, nor as
+    # a stray field of a v2 one.  A loaded plan's blocks are the built ones.
+    plan = cp.build_plan(robust_params())
+    v1 = json.loads(plan_json(plan))
+    v1["blocks"][-1]["atoms"]["1"][0] += 1
+    with pytest.raises(cp.SchemeError, match=V1_REFUSED):
+        cp.plan_from_json(json.dumps(v1))
+    v1["blocks"].pop()
+    with pytest.raises(cp.SchemeError, match=V1_REFUSED):
+        cp.plan_from_json(json.dumps(v1))
+    v2 = json.loads(cp.plan_to_json(plan))
+    v2["blocks"] = v1["blocks"]
+    with pytest.raises(cp.SchemeError, match=r"has the fields \['blocks', 'masks'"):
+        cp.plan_from_json(json.dumps(v2))
+    loaded = cp.plan_from_json(cp.plan_to_json(plan))
+    assert bookkeeping(loaded.params, loaded.layout) == bookkeeping(plan.params, plan.layout)
 
 
 def test_atoms_are_derived_not_stored(monkeypatch):
@@ -201,18 +241,6 @@ def test_pipeline_never_builds_the_dense_query_view(name):
         assert cp.validate_plan(plan) == []
         cp.plan_to_json(plan)
         assert "queries" not in plan.__dict__
-
-
-def test_validate_plan_catches_block_multiplicity():
-    # Blocks are derived from the parameters, so stored bookkeeping that
-    # disagrees with them is refused when a plan is loaded.
-    doc = json.loads(plan_json(cp.build_plan(robust_params())))
-    doc["blocks"][-1]["atoms"]["1"][0] += 1
-    with pytest.raises(cp.SchemeError, match="blocks"):
-        cp.plan_from_json(json.dumps(doc))
-    doc["blocks"].pop()
-    with pytest.raises(cp.SchemeError, match="blocks"):
-        cp.plan_from_json(json.dumps(doc))
 
 
 def test_build_plan_deterministic():

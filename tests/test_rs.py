@@ -294,7 +294,8 @@ def _interleaved_words(draw):
 @given(case=_interleaved_words())
 def test_interleaved_decoding_matches_per_column_reference(case, correct):
     code, known, rows = case
-    sub = rs.puncture(code, known)
+    # The code on the known positions: Vandermonde rows depend only on their own point.
+    sub = rs.RsCode(n=len(known), k=code.k, p=code.p, eval_points=code.eval_points[known], gen_t=code.gen_t[known])
     radius = None if correct else 0
     words = [oracles.bw_decode_column(sub, rows[:, j], radius) for j in range(rows.shape[1])]
     failed = [j for j, word in enumerate(words) if word is None]
@@ -384,45 +385,57 @@ def test_interleaved_decoding_zero_width_and_single_column():
     assert np.array_equal(rs.recover_message(code, dict(enumerate(hit)), correct=True), msg)
 
 
-# --- puncturing ---------------------------------------------------------------
+# --- puncturing: a code read on a subset of its positions ---------------------
 
 
 def test_puncture_identity():
     code = rs.rs_transposed_generator(5, 3, 11)
-    same = rs.puncture(code, range(5))
-    assert np.array_equal(same.gen_t, code.gen_t)
+    msg = np.array([4, 0, 9], dtype=np.int64)
+    assert np.array_equal(rs.recover_message(code, dict(enumerate(rs.encode(code, msg)))), msg)
 
 
 def test_puncture_keeps_eval_points():
     code = rs.rs_transposed_generator(4, 2, 7)
-    sub = rs.puncture(code, {0, 1, 2})
-    assert sub.n == 3 and sub.k == 2
-    assert sub.eval_points.tolist() == [1, 2, 3]
+    msg = np.array([3, 5], dtype=np.int64)
+    word = rs.encode(code, msg)
+    # Positions 0..2 decode on their own points 1..3.
+    known = {i: word[i] for i in (0, 1, 2)}
+    assert np.array_equal(rs.recover_message(code, known), msg)
+    assert np.array_equal(rs.recover_message(code, known, correct=True), msg)
 
 
 def test_puncture_too_short():
     code = rs.rs_transposed_generator(4, 3, 7)
-    with pytest.raises(rs.TooShort):
-        rs.puncture(code, {0, 1})
+    with pytest.raises(rs.TooFewKnown):
+        rs.recover_message(code, {0: 1, 1: 2})
 
 
 def test_punctured_long_code_corrects_91_errors():
-    # (392, 182) code punctured to 364 positions still has dimension 182,
+    # The (392, 182) code read on positions 28..391 keeps dimension 182,
     # so its packing radius is floor((364 - 182) / 2) = 91.
-    code = rs.rs_transposed_generator(392, 182, 65537)
-    sub = rs.puncture(code, range(28, 392))
-    assert sub.n == 364 and sub.k == 182
-    assert sub.max_errors == 91
+    p = 65537
+    code = rs.rs_transposed_generator(392, 182, p)
+    rng = np.random.default_rng(91)
+    msg = rng.integers(0, p, 182)
+    word = rs.encode(code, msg)
+    wrong = rng.choice(np.arange(28, 392), 92, replace=False)
+    known = {i: word[i] for i in range(28, 392)}
+    for i, hit in zip(wrong, rng.integers(1, p, 92)):
+        known[i] = (word[i] + hit) % p
+    with pytest.raises(rs.DecodingFailure, match="^no codeword within 91 errors of column 0$"):
+        rs.recover_message(code, known, correct=True)
+    known[wrong[0]] = word[wrong[0]]
+    assert np.array_equal(rs.recover_message(code, known, correct=True), msg)
 
 
 def test_punctured_code_still_decodes():
     code = rs.rs_transposed_generator(8, 2, 13)
-    sub = rs.puncture(code, {1, 3, 4, 6, 7})
     msg = np.array([5, 9], dtype=np.int64)
-    word = rs.encode(sub, msg)
-    hit = word.copy()
-    hit[2] = (hit[2] + 4) % 13
-    assert np.array_equal(rs.error_correct(sub, hit), word)
+    word = rs.encode(code, msg)
+    keep = (1, 3, 4, 6, 7)
+    known = {i: word[i] for i in keep}
+    known[4] = (known[4] + 4) % 13
+    assert np.array_equal(rs.recover_message(code, known, correct=True), msg)
 
 
 def test_message_from_codeword_roundtrip_and_rejection():

@@ -217,6 +217,9 @@ def test_shape_mismatch_errors(proto_plan):
     db = cp.database_for_plan(proto_plan, seed=0)
     with pytest.raises(cp.ShapeMismatch):
         cp.run_session(proto_plan, db, adversary=cp.Adversary(robust_set=(9,)))
+    other_field = cp.random_database(db.m, db.l_rows, db.k, 65521, seed=0)
+    with pytest.raises(cp.ShapeMismatch, match=r"^storage code modulus 65537 != database modulus 65521$"):
+        cp.run_session(proto_plan, other_field)
     with pytest.raises(cp.ShapeMismatch):
         cp.Database(files=(np.zeros((2, 2), dtype=np.int64), np.zeros((3, 2), dtype=np.int64)), p=7)
 
