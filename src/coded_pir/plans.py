@@ -412,18 +412,6 @@ class QueryPlan:
         points = self.layout.storage_code.eval_points[np.array(self.array.symbols)]
         return rs._interp_setup(self.params.modulus, points)[1]
 
-    def visible_symbols(self, servers) -> list[int]:
-        """Symbols whose subsets intersect the given server set."""
-        view = set(servers)
-        return [s for s, blk in enumerate(self.array.symbols) if view & set(blk)]
-
-    def expected_view_dim(self, servers) -> int:
-        """Predicted rank of any one file's atoms visible to these servers."""
-        hits = len(self.visible_symbols(servers))
-        if self.params.variant is Variant.MULTI_FILE:
-            return self.ab.total * hits
-        return self.ab.total ** (self.params.n_files - 1) * hits
-
     def maximal_collusion_sets(self) -> tuple[tuple[int, ...], ...]:
         if self.params.variant is Variant.PATTERN:
             assert self.params.pattern is not None
@@ -611,9 +599,10 @@ def validate_plan(plan: QueryPlan) -> list[str]:
 
     The layout, the queries and the atoms are derived from the
     parameters and masks, so they hold by construction.  What is left:
-    the parameters, and the one premise of the privacy audit's rank
-    count (module ``rates``) that construction does not give a loaded
-    plan: every mask is invertible.
+    the parameters; the one premise of the privacy audit's rank count
+    (module ``rates``) that construction does not give a loaded plan,
+    every mask is invertible; and a multifile mixing matrix invertible
+    on the desired columns, whose factor a decode then reuses.
     """
     params = plan.params
     try:
@@ -621,11 +610,14 @@ def validate_plan(plan: QueryPlan) -> list[str]:
     except PreconditionViolated as exc:
         return [f"params: {exc}"]
     p, l_rows = params.modulus, plan.l_rows
-    return [
+    found = [
         f"mask of file {f} is not invertible"
         for f in range(params.n_files)
         if plan.masks[f].shape != (l_rows, l_rows) or mat_rank(plan.masks[f], p) != l_rows
     ]
+    if plan.mix_matrix is not None and plan.mix_factors.rank < params.p_desired:
+        found.append("mixing matrix is singular on the desired columns")
+    return found
 
 
 # --- canonical JSON serialization -------------------------------------------

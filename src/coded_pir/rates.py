@@ -9,15 +9,15 @@ Equal ranks are the machine-checkable face of the schemes' privacy
 argument; distributional indistinguishability beyond rank is out of
 scope and documented as such.
 
-The rank is counted from the plan's layout, with no elimination.  A
-file's atom coefficients are ``blockdiag(chunk generators) @ (disjoint
-rows of its mask)``, one chunk after another as ``plan.layout.chunks``
-lists them: a small-code chunk per desired block for the
-robust/Byzantine desired file, a big-code chunk per group (per file in
-multifile) for an undesired file, and the mask rows themselves for the
-desired files of the other variants.  So the visible rows have rank sum
-over chunks of min(visible atoms in the chunk, chunk.k), given two
-premises:
+The rank is counted from the plan's layout, with no elimination, for
+every collusion set in one array pass (``_view_ranks``).  A file's atom
+coefficients are ``blockdiag(chunk generators) @ (disjoint rows of its
+mask)``, one chunk after another as ``plan.layout.chunks`` lists them: a
+small-code chunk per desired block for the robust/Byzantine desired
+file, a big-code chunk per group (per file in multifile) for an
+undesired file, and the mask rows themselves for the desired files of
+the other variants.  So the visible rows have rank sum over chunks of
+min(visible atoms in the chunk, chunk.k), given two premises:
 
 - every mask is invertible: ``sample_invertible`` draws it so at build
   time, keeping only draws whose factorization has full rank, and
@@ -106,38 +106,61 @@ def rate_report(plan: QueryPlan, transcript: Transcript) -> RateReport:
     return RateReport(achieved=achieved, closed_form=closed, match=achieved == closed)
 
 
-def collusion_view_ranks(plan: QueryPlan, servers) -> PrivacyAudit:
-    """Per-file rank of the atom coefficients visible to these servers.
+def _view_counts(plan: QueryPlan) -> tuple[np.ndarray, list[tuple[np.ndarray, list[int]]]]:
+    """The server x symbol incidence and, per file, a symbols x chunks count
+    of the distinct atoms each symbol opens in each chunk, with the chunks' k.
 
-    Counted, not eliminated: each chunk of the plan's layout contributes
-    ``min(visible atoms in the chunk, chunk.k)``.  This is the rank
-    because every chunk generator is MDS and the chunks multiply disjoint
-    rows of an invertible mask (module docstring).
+    The P mixed blocks of a multifile round share their atom starts; a
+    shared atom counts once.
     """
+    layout, b = plan.layout, plan.n_symbols
+    incidence = np.array([[n in sym for sym in layout.array.symbols] for n in range(plan.params.n_servers)], np.int64)
+    per_file = []
+    for f, chunks in enumerate(layout.chunks):
+        starts = np.array(sorted({blk.atom_start[f] for blk in layout.blocks if f in blk.atom_start}))
+        chunk_of = np.searchsorted([c.atoms[0] for c in chunks], starts[:, None] + np.arange(b), "right") - 1
+        counts = np.bincount((np.arange(b) * len(chunks) + chunk_of).ravel(), minlength=b * len(chunks))
+        per_file.append((counts.reshape(b, len(chunks)), [c.k for c in chunks]))
+    return incidence, per_file
+
+
+def _view_ranks(plan: QueryPlan, views) -> list[PrivacyAudit]:
+    """The audit of each view, a sorted tuple of servers, in one counting pass.
+
+    A view sees the symbols its servers hold, one product of the views'
+    membership with the incidence of ``_view_counts``; a file's rank in
+    it is ``min(visible @ counts, k)`` summed over its chunks (module
+    docstring), and each visible symbol adds the same predicted dimension.
+    """
+    incidence, per_file = _view_counts(plan)
+    member = np.zeros((len(views), plan.params.n_servers), dtype=np.int64)
+    rows = np.repeat(np.arange(len(views)), [len(v) for v in views])
+    member[rows, np.array([n for v in views for n in v], np.int64)] = 1
+    visible = (member @ incidence > 0).astype(np.int64)
+    ranks = np.stack([np.minimum(visible @ counts, ks).sum(axis=1) for counts, ks in per_file], axis=1)
+    params = plan.params
+    per_symbol = plan.ab.total ** (1 if params.variant is Variant.MULTI_FILE else params.n_files - 1)
+    expected = per_symbol * visible.sum(axis=1)
+    passed = (ranks == expected[:, None]).all(axis=1)
+    return [
+        PrivacyAudit(collusion_set=view, per_file_rank=tuple(row), expected_rank=dim, passed=ok)
+        for view, row, dim, ok in zip(views, ranks.tolist(), expected.tolist(), passed.tolist())
+    ]
+
+
+def collusion_view_ranks(plan: QueryPlan, servers) -> PrivacyAudit:
+    """Per-file rank of the atom coefficients visible to these servers, counted by ``_view_ranks``."""
     view = tuple(sorted(set(int(n) for n in servers)))
     if not view:
         raise ValueError("collusion set must be nonempty")
     if not 0 <= view[0] <= view[-1] < plan.params.n_servers:
         raise ValueError(f"collusion set {view} outside range(N={plan.params.n_servers})")
-    visible = np.array(plan.visible_symbols(view), dtype=np.int64)
-    ranks = []
-    for f, chunks in enumerate(plan.layout.chunks):
-        starts = [blk.atom_start[f] for blk in plan.blocks if f in blk.atom_start]
-        seen = np.zeros(chunks[-1].atoms[1], dtype=np.int64)
-        seen[(np.array(starts, dtype=np.int64)[:, None] + visible).ravel()] = 1
-        per_chunk = np.add.reduceat(seen, [c.atoms[0] for c in chunks])
-        ranks.append(int(np.minimum(per_chunk, [c.k for c in chunks]).sum()))
-    expected = plan.expected_view_dim(view)
-    ranks_t = tuple(ranks)
-    passed = len(set(ranks_t)) == 1 and ranks_t[0] == expected
-    return PrivacyAudit(
-        collusion_set=view, per_file_rank=ranks_t, expected_rank=expected, passed=passed
-    )
+    return _view_ranks(plan, [view])[0]
 
 
 def full_privacy_sweep(plan: QueryPlan) -> list[PrivacyAudit]:
-    """One audit per maximal collusion set of the plan's variant."""
-    return [collusion_view_ranks(plan, t) for t in plan.maximal_collusion_sets()]
+    """One audit per maximal collusion set of the plan's variant, in one counting pass."""
+    return _view_ranks(plan, plan.maximal_collusion_sets())
 
 
 def multifile_capacity_bound(
@@ -179,22 +202,31 @@ def naive_comparison(params: SchemeParams) -> NaiveComparison:
     return NaiveComparison(adapted=adapted, naive=naive, better=adapted > naive)
 
 
-def audit_report(plan: QueryPlan) -> dict:
-    """JSON-ready report of the full privacy sweep."""
+def _audit_dict(a: PrivacyAudit) -> dict:
+    return {
+        "collusion_set": list(a.collusion_set),
+        "per_file_rank": list(a.per_file_rank),
+        "expected_rank": a.expected_rank,
+        "pass": a.passed,
+    }
+
+
+def audit_report(plan: QueryPlan, outside=None) -> dict:
+    """JSON-ready report of the full privacy sweep.
+
+    ``outside``, sorted server tuples that no collusion set covers, adds
+    their audits, counted in one more pass, as ``outside_pattern``; they
+    do not count towards ``all_pass``.
+    """
     audits = full_privacy_sweep(plan)
     from .plans import params_to_dict
 
-    return {
+    doc = {
         "schema": "coded-pir-audit/1",
         "params": params_to_dict(plan.params),
-        "audits": [
-            {
-                "collusion_set": list(a.collusion_set),
-                "per_file_rank": list(a.per_file_rank),
-                "expected_rank": a.expected_rank,
-                "pass": a.passed,
-            }
-            for a in audits
-        ],
+        "audits": [_audit_dict(a) for a in audits],
         "all_pass": all(a.passed for a in audits),
     }
+    if outside is not None:
+        doc["outside_pattern"] = [_audit_dict(a) for a in _view_ranks(plan, outside)]
+    return doc

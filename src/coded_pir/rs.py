@@ -90,13 +90,14 @@ class RsCode:
 
 
 def _vandermonde(points: np.ndarray, width: int, p: int) -> np.ndarray:
-    """Matrix of powers points[i]**j for j < width, over GF(p)."""
+    """Matrix of powers points[i]**j for j < width, over GF(p), by doubling: columns
+    [m, 2m) are columns [0, m) times points**m, each product of two residues below 2**63."""
     out = np.empty((len(points), width), dtype=np.int64)
-    if width == 0:
-        return out
-    out[:, 0] = 1
-    for j in range(1, width):
-        out[:, j] = out[:, j - 1] * points % p
+    out[:, :1] = 1
+    m, power = 1, points
+    while m < width:
+        out[:, m : 2 * m] = out[:, : min(m, width - m)] * power[:, None] % p
+        m, power = 2 * m, power * power % p
     return out
 
 

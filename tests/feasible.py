@@ -45,13 +45,48 @@ def _small_feasible_shapes(max_rows=120):
     return out
 
 
+# Small collusion patterns on N <= 5 servers; the last three have maximal
+# sets of different sizes, and a server of size-1 sets may hold no symbol.
+SMALL_PATTERNS = (
+    ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)),
+    ((0, 1), (1, 2), (2, 3)),
+    ((0, 1, 2), (3,)),
+    ((0, 1), (2, 3), (4,)),
+    ((0, 1, 2), (2, 3), (3, 4)),
+)
+
+
+def _small_pattern_plans(max_rows=120):
+    """Every feasible pattern parameter set on ``SMALL_PATTERNS`` with M <= 3 and
+    L <= max_rows, each with the family ``optimize_family`` picks."""
+    out = []
+    for sets in SMALL_PATTERNS:
+        pattern = cp.CollusionPattern(sets)
+        n = max(pattern.servers()) + 1
+        for k in range(1, n):
+            try:
+                family, ev = cp.optimize_family(pattern, k, n)
+            except cp.Infeasible:
+                continue
+            g = cp.compute_alpha_beta(ev.b, ev.delta).total
+            out += [
+                cp.SchemeParams(variant="pattern", n_servers=n, code_dim=k, n_files=m,
+                                pattern=pattern, family=family)
+                for m in range(1, 4)
+                if ev.b * g ** (m - 1) <= max_rows
+            ]
+    return out
+
+
 SMALL_FEASIBLE = _small_feasible_shapes()
+# What ``feasible_params`` draws from: the pattern plans join the other variants.
+DRAWN = {**SMALL_FEASIBLE, "pattern": _small_pattern_plans()}
 
 
 @st.composite
 def feasible_params(draw):
     """One small feasible parameter set, with a drawn desired file and plan seed."""
-    params = draw(st.sampled_from(SMALL_FEASIBLE[draw(st.sampled_from(sorted(SMALL_FEASIBLE)))]))
+    params = draw(st.sampled_from(DRAWN[draw(st.sampled_from(sorted(DRAWN)))]))
     if params.variant is not cp.Variant.MULTI_FILE:
         params = replace(params, desired=(draw(st.integers(0, params.n_files - 1)),))
     return replace(params, seed=draw(st.integers(0, 2**16)))

@@ -313,9 +313,23 @@ def atom_coeffs(plan) -> tuple[np.ndarray, ...]:
     return tuple(atoms)
 
 
+def visible_symbols(plan, servers) -> list[int]:
+    """Symbols whose subsets intersect the given server set."""
+    view = set(servers)
+    return [s for s, blk in enumerate(plan.array.symbols) if view & set(blk)]
+
+
+def expected_view_dim(plan, servers) -> int:
+    """Predicted rank of any one file's atoms visible to these servers."""
+    hits = len(visible_symbols(plan, servers))
+    if plan.params.variant is plans.Variant.MULTI_FILE:
+        return plan.ab.total * hits
+    return plan.ab.total ** (plan.params.n_files - 1) * hits
+
+
 def dense_view_ranks(plan, servers) -> tuple[int, ...]:
     """Per-file rank of the visible atom coefficients, by elimination."""
-    visible = plan.visible_symbols(servers)
+    visible = visible_symbols(plan, servers)
     coeffs = atom_coeffs(plan)
     ranks = []
     for f in range(plan.params.n_files):
@@ -326,6 +340,32 @@ def dense_view_ranks(plan, servers) -> tuple[int, ...]:
         rows = coeffs[f][sorted(atom_ids)]
         ranks.append(gf.mat_rank(rows, plan.params.modulus))
     return tuple(ranks)
+
+
+def counted_view_ranks(plan, servers) -> tuple[int, ...]:
+    """Per-file rank of the visible atoms, counted one set at a time: every
+    visible atom of the file's blocks marked once in a ``seen`` array, then
+    ``min(marked atoms, chunk.k)`` summed over the file's chunks."""
+    visible = np.array(visible_symbols(plan, servers), dtype=np.int64)
+    ranks = []
+    for f, chunks in enumerate(plan.layout.chunks):
+        starts = [blk.atom_start[f] for blk in plan.blocks if f in blk.atom_start]
+        seen = np.zeros(chunks[-1].atoms[1], dtype=np.int64)
+        seen[(np.array(starts, dtype=np.int64)[:, None] + visible).ravel()] = 1
+        per_chunk = np.add.reduceat(seen, [c.atoms[0] for c in chunks])
+        ranks.append(int(np.minimum(per_chunk, [c.k for c in chunks]).sum()))
+    return tuple(ranks)
+
+
+def vandermonde_columns(points, width, p) -> np.ndarray:
+    """Powers points[i]**j for j < width, one column at a time."""
+    out = np.empty((len(points), width), dtype=np.int64)
+    if width == 0:
+        return out
+    out[:, 0] = 1
+    for j in range(1, width):
+        out[:, j] = out[:, j - 1] * points % p
+    return out
 
 
 def dense_session(plan, db, adversary=None) -> Transcript:

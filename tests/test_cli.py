@@ -1,7 +1,10 @@
 import json
+from dataclasses import astuple
+from itertools import combinations
 
 import pytest
 
+import coded_pir as cp
 from coded_pir import cli
 from conftest import FACTORIES, cli_argv
 
@@ -87,6 +90,25 @@ def test_audit_pattern_all_pairs_warns_but_passes(tmp_path, capsys):
     assert doc["all_pass"]
     assert len(doc["outside_pattern"]) == 5
     assert all(not a["pass"] for a in doc["outside_pattern"])
+
+
+def test_audit_all_pairs_batch_matches_per_set_calls(tmp_path, capsys):
+    # ``--all-pairs`` audits the pairs outside the pattern in one batch,
+    # through ``audit_report``; each must read as the one-set call on the
+    # same plan, and each failing one must be warned about by name.
+    params = FACTORIES["pattern"](seed=3)
+    code, out, err = run(cli_argv("audit", params, tmp_path) + ["--all-pairs"], capsys)
+    plan = cp.build_plan(params)
+    outside = [s for s in combinations(range(params.n_servers), 2) if s not in plan.maximal_collusion_sets()]
+    got = json.loads(out.splitlines()[0])["outside_pattern"]
+    assert code == 0 and got == cp.audit_report(plan, outside)["outside_pattern"]
+    per_set = [cp.collusion_view_ranks(plan, s) for s in outside]
+    assert [(tuple(a["collusion_set"]), tuple(a["per_file_rank"]), a["expected_rank"], a["pass"]) for a in got] == [
+        astuple(a) for a in per_set
+    ]
+    warned = [f"warning: non-pattern set {a.collusion_set} distinguishes files (ranks {a.per_file_rank}); "
+              "the pattern does not protect it" for a in per_set if not a.passed]
+    assert len(warned) == 5 and [line for line in err.splitlines() if line.startswith("warning")] == warned
 
 
 def test_pattern_opt_pentagon(tmp_path, capsys):

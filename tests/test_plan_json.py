@@ -93,7 +93,7 @@ def test_v2_loads_the_built_scale_plan():
     assert_v2_loads_the_built_plan(cp.build_plan(cp.SchemeParams(**SCALE_PARAMS)))
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=50, derandomize=True, deadline=None)
 @given(params=feasible_params())
 def test_v2_loads_drawn_plans(params):
     assert_v2_loads_the_built_plan(cp.build_plan(params))

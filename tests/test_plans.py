@@ -16,7 +16,7 @@ from conftest import (
     robust_params,
 )
 from feasible import SMALL_FEASIBLE
-from oracles import atom_coeffs, bookkeeping, plan_json
+from oracles import atom_coeffs, bookkeeping, expected_view_dim, plan_json
 
 
 # --- ratio --------------------------------------------------------------------
@@ -147,6 +147,21 @@ def test_validate_plan_catches_singular_mask(factory):
     mask[1] = mask[0]
     broken = replace(plan, masks=(mask,) + plan.masks[1:])
     assert "mask of file 0 is not invertible" in cp.validate_plan(broken)
+
+
+def test_validate_plan_catches_singular_mixing_matrix():
+    # A loaded document can carry a mixing matrix that construction never
+    # draws: row 1 equal to row 0 is singular on any desired columns.
+    plan = cp.build_plan(multifile_params())
+    doc = json.loads(cp.plan_to_json(plan))
+    doc["mix_matrix"][1] = doc["mix_matrix"][0]
+    loaded = cp.plan_from_json(json.dumps(doc))
+    assert cp.validate_plan(loaded) == ["mixing matrix is singular on the desired columns"]
+    # The decode reuses the factor that validation left, and still refuses.
+    assert "mix_factors" in loaded.__dict__
+    transcript = cp.run_session(loaded, cp.database_for_plan(loaded, seed=5))
+    with pytest.raises(cp.DecodingFailure, match="^mixing matrix is singular on the desired columns$"):
+        cp.reconstruct(loaded, transcript)
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -388,7 +403,11 @@ def test_single_file_degenerate_plan():
 
 
 def test_expected_view_dim_examples(proto_plan, multi_plan, pattern_plan):
-    assert proto_plan.expected_view_dim((0, 1)) == 180
-    assert multi_plan.expected_view_dim((1, 3)) == 30
-    assert pattern_plan.expected_view_dim((0, 1)) == 20
-    assert pattern_plan.expected_view_dim((0, 2)) == 25  # outside the pattern
+    for plan, servers, dim in [
+        (proto_plan, (0, 1), 180),
+        (multi_plan, (1, 3), 30),
+        (pattern_plan, (0, 1), 20),
+        (pattern_plan, (0, 2), 25),  # outside the pattern
+    ]:
+        assert cp.collusion_view_ranks(plan, servers).expected_rank == dim
+        assert expected_view_dim(plan, servers) == dim

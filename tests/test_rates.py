@@ -13,7 +13,8 @@ from conftest import (
     robust_params,
 )
 from feasible import feasible_params
-from oracles import dense_view_ranks
+from coded_pir import rates
+from oracles import counted_view_ranks, dense_view_ranks, expected_view_dim
 
 
 # --- closed forms ----------------------------------------------------------------
@@ -199,12 +200,53 @@ def test_view_ranks_match_dense_on_every_server_subset(factory, seed):
     _assert_counts_match_dense(cp.build_plan(factory(seed=seed)))
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+@settings(max_examples=80, derandomize=True, deadline=None)
 @given(params=feasible_params())
 def test_view_ranks_match_dense_on_drawn_plans(params):
     plan = cp.build_plan(params)
     assert cp.validate_plan(plan) == []
     _assert_counts_match_dense(plan)
+
+
+def _outside_sets(plan):
+    """Every server set of the largest maximal set's size that is not maximal."""
+    maximal = plan.maximal_collusion_sets()
+    width = max(len(s) for s in maximal)
+    return [s for s in combinations(range(plan.params.n_servers), width) if s not in maximal]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(params=feasible_params())
+def test_one_pass_matches_per_set_counts_on_drawn_plans(params):
+    # The sweep counts every maximal set in one pass; the one-set-at-a-time
+    # count, the public one-set call, and the batch of sets outside the
+    # maximal ones (as ``audit --all-pairs`` passes them) must all agree.
+    plan = cp.build_plan(params)
+    maximal = plan.maximal_collusion_sets()
+    sweep = cp.full_privacy_sweep(plan)
+    assert [a.collusion_set for a in sweep] == list(maximal)
+    assert [a.per_file_rank for a in sweep] == [counted_view_ranks(plan, s) for s in maximal]
+    assert [a.expected_rank for a in sweep] == [expected_view_dim(plan, s) for s in maximal]
+    assert sweep == [cp.collusion_view_ranks(plan, s) for s in maximal]
+    outside = _outside_sets(plan)
+    extras = rates._view_ranks(plan, outside)
+    assert extras == [cp.collusion_view_ranks(plan, s) for s in outside]
+    assert [a.per_file_rank for a in extras] == [counted_view_ranks(plan, s) for s in outside]
+
+
+def test_multifile_shared_atoms_count_once(multi_plan):
+    # The P mixed blocks of a round share their atom starts: an atom seen
+    # through two of them is still one atom of the view.
+    plan, b = multi_plan, multi_plan.n_symbols
+    for f, (counts, ks) in enumerate(rates._view_counts(plan)[1]):
+        starts = [blk.atom_start[f] for blk in plan.blocks if f in blk.atom_start]
+        assert len(set(starts)) < len(starts)
+        assert counts.sum() == len(set(starts)) * b
+    for servers in [(0,), (1, 2), (0, 1, 2), (0, 1, 2, 3)]:
+        want = dense_view_ranks(plan, servers)
+        assert counted_view_ranks(plan, servers) == want
+        assert cp.collusion_view_ranks(plan, servers).per_file_rank == want
+        assert rates._view_ranks(plan, [servers])[0].per_file_rank == want
 
 
 def test_audit_report_shape(pattern_plan):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from coded_pir import gf, rs
+from test_gf import KERNEL_MODULI
 
 
 # --- independent oracles -----------------------------------------------------
@@ -57,6 +58,16 @@ def nearest_codeword(code, received):
 def test_generator_column_of_ones_for_k1():
     code = rs.rs_transposed_generator(3, 1, 7)
     assert code.gen_t.tolist() == [[1], [1], [1]]
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_vandermonde_by_doubling_matches_column_loop(p):
+    # Every width from 0 to 300, on points that reach p - 1, where the
+    # products of two residues come nearest 2**63 at 3037000493.
+    points = np.unique(np.concatenate([np.arange(1, min(p, 40)), [p - 1], p - np.arange(1, min(p, 20))]))
+    for width in range(301):
+        got = rs._vandermonde(points, width, p)
+        assert got.dtype == np.int64 and np.array_equal(got, oracles.vandermonde_columns(points, width, p)), width
 
 
 def test_generator_square_vandermonde():
