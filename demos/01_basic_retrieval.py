@@ -14,14 +14,15 @@ params = cp.SchemeParams(
     desired=(0,), collusion_size=2, seed=2024,
 )
 plan = cp.build_plan(params)
+layout = plan.layout  # the public scheme: codes, assisting array, blocks
 
-print("pure/mixed ratio:", f"alpha={plan.ab.alpha}, beta={plan.ab.beta}")
+print("pure/mixed ratio:", f"alpha={layout.ab.alpha}, beta={layout.ab.beta}")
 print("rows per file:   ", plan.l_rows)
-print("blocks:          ", len(plan.blocks))
-print("queries:         ", len(plan.blocks) * plan.n_symbols, f"({plan.n_symbols} per block)")
+print("blocks:          ", len(layout.blocks))
+print("queries:         ", len(layout.blocks) * layout.array.n_symbols, f"({layout.array.n_symbols} per block)")
 
 print("\nassisting array (symbol ids per server):")
-for n, column in enumerate(plan.array.columns):
+for n, column in enumerate(layout.array.columns):
     print(f"  server {n}: {list(column)}")
 
 db = cp.database_for_plan(plan, seed=1)

@@ -16,8 +16,9 @@ params = cp.SchemeParams(
     desired=(0,), collusion_size=2, s_robust=1, seed=5,
 )
 plan = cp.build_plan(params)
+layout = plan.layout
 db = cp.database_for_plan(plan, seed=6)
-print(f"alpha={plan.ab.alpha}, L={plan.l_rows}, blocks={len(plan.blocks)}")
+print(f"alpha={layout.ab.alpha}, L={plan.l_rows}, blocks={len(layout.blocks)}")
 print("closed-form rate:", cp.closed_form_rate(params))
 
 for absent in range(params.n_servers):

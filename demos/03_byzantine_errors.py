@@ -16,13 +16,14 @@ params = cp.SchemeParams(
     desired=(0,), collusion_size=2, b_byzantine=1, seed=11,
 )
 plan = cp.build_plan(params)
+layout = plan.layout
 db = cp.database_for_plan(plan, seed=12)
-print(f"alpha={plan.ab.alpha}, L={plan.l_rows}, blocks={len(plan.blocks)}")
-print("interference code:", f"({plan.big_code.n}, {plan.big_code.k})",
-      "-> corrects", (plan.big_code.n - plan.n_symbols - plan.big_code.k) // 2,
+print(f"alpha={layout.ab.alpha}, L={plan.l_rows}, blocks={len(layout.blocks)}")
+print("interference code:", f"({layout.big_code.n}, {layout.big_code.k})",
+      "-> corrects", (layout.big_code.n - layout.array.n_symbols - layout.big_code.k) // 2,
       "errors on its observed part")
-print("per-block code:   ", f"({plan.small_code.n}, {plan.small_code.k})",
-      "-> corrects", plan.small_code.max_errors, "errors per desired block")
+print("per-block code:   ", f"({layout.small_code.n}, {layout.small_code.k})",
+      "-> corrects", layout.small_code.max_errors, "errors per desired block")
 print("closed-form rate: ", cp.closed_form_rate(params))
 
 failures = 0
@@ -39,4 +40,4 @@ adversary = cp.Adversary(byzantine_set=(3,), seed=0)
 record = cp.recovered_atoms(plan, cp.run_session(plan, db, adversary=adversary))
 flags = list(record.flags[0].values())
 print("desired-file atoms error-corrected:", flags.count("error-corrected"),
-      f"(the liar touches 7 of 28 symbols in each of {plan.l_rows // plan.small_code.k} blocks)")
+      f"(the liar touches 7 of 28 symbols in each of {plan.l_rows // layout.small_code.k} blocks)")

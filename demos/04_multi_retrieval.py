@@ -16,9 +16,10 @@ params = cp.SchemeParams(
     desired=(0, 1), collusion_size=2, seed=21,
 )
 plan = cp.build_plan(params)
-print(f"alpha={plan.ab.alpha}, beta={plan.ab.beta}, L={plan.l_rows}")
-singles = sum(1 for blk in plan.blocks if blk.mix_row is None)
-print(f"blocks: {singles} single-atom + {len(plan.blocks) - singles} fully mixed")
+layout = plan.layout
+print(f"alpha={layout.ab.alpha}, beta={layout.ab.beta}, L={plan.l_rows}")
+singles = sum(1 for blk in layout.blocks if blk.mix_row is None)
+print(f"blocks: {singles} single-atom + {len(layout.blocks) - singles} fully mixed")
 print("mixing matrix rows:")
 for row in plan.mix_matrix:
     print("  ", row.tolist())

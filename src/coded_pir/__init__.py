@@ -89,9 +89,7 @@ from .rs import (
 from .storage import (
     Adversary,
     Database,
-    ServerState,
     ShapeMismatch,
-    StorageCode,
     StorageError,
     Transcript,
     database_for_plan,
@@ -99,7 +97,6 @@ from .storage import (
     database_to_json,
     encode_database,
     random_database,
-    rs_storage_code,
     run_session,
 )
 

@@ -122,10 +122,11 @@ def cmd_build(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
+    layout = plan.layout
     print(
-        f"plan: variant={plan.params.variant.value} alpha={plan.ab.alpha} "
-        f"beta={plan.ab.beta} L={plan.l_rows} blocks={len(plan.blocks)} "
-        f"queries={len(plan.blocks) * plan.n_symbols}",
+        f"plan: variant={plan.params.variant.value} alpha={layout.ab.alpha} "
+        f"beta={layout.ab.beta} L={layout.l_rows} blocks={len(layout.blocks)} "
+        f"queries={len(layout.blocks) * layout.array.n_symbols}",
         file=sys.stderr,
     )
     return 0

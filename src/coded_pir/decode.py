@@ -2,18 +2,21 @@
 
 Decoding follows a fixed order: (1) solve every shared query from the K
 responses of its symbol's servers, all symbols in one batched product
-with the plan's per-symbol inverses; (2) per group, rebuild the
+with the layout's per-symbol inverses; (2) per group, rebuild the
 interference codeword from the pure blocks (completing erasures or
 correcting errors as the variant demands); (3) subtract interference
 from mixed blocks; (4) per chunk of the desired file, recover the mask
 rows behind its atoms; (5) undo the desired files' masks, solving
 through the row operations that tested each mask's rank (no mask is
 inverted).  Groups, blocks and chunks are read from the plan's layout,
-and every inverse, mask factorization or interpolation basis these steps
-use is built once per plan, on the plan or on its layout's codes; a
-built plan already holds its mask factorizations.  Wherever more values
-are available than needed, consistency is verified and any mismatch
-surfaces as DecodingFailure.
+and everything these steps invert is built once per plan: the symbols'
+storage inverses on the layout, the interpolation bases on its codes,
+and the mask and mixing-matrix factorizations on the plan; a built plan
+already holds its mask factorizations.  Words on one code with the same
+known positions (the groups' interference words, the desired chunks,
+multifile's undesired files) are decoded in one call.  Wherever more
+values are available than needed, consistency is verified and any
+mismatch surfaces as DecodingFailure.
 
 :func:`reconstruct` runs the steps alone; :func:`recovered_atoms` runs
 the same steps and records every atom value they produce, with its
@@ -80,28 +83,28 @@ class RecoveredAtoms:
 
 def _query_values(plan: QueryPlan, transcript: Transcript) -> list[np.ndarray | None]:
     """Value of every shared query, all symbols in one product; None = unretrievable."""
-    p, b, k = plan.params.modulus, plan.n_symbols, plan.params.code_dim
-    symbols = plan.array.symbols
+    layout, p, k = plan.layout, plan.params.modulus, plan.params.code_dim
+    b, symbols = layout.array.n_symbols, layout.array.symbols
     # slot[s, n]: where server n sits in the subset of symbol s.
     slot = np.zeros((b, plan.params.n_servers), dtype=np.int64)
     for s, subset in enumerate(symbols):
         slot[s, list(subset)] = range(len(subset))
     # resp[q, i]: the response of the i-th server of its symbol to query q.
-    resp = np.zeros((len(plan.blocks) * b, k), dtype=np.int64)
+    resp = np.zeros((len(layout.blocks) * b, k), dtype=np.int64)
     for n, answers in enumerate(transcript.responses):
         if answers is not None and len(answers):
-            qids = plan.layout.server_queries[n]
+            qids = layout.server_queries[n]
             resp[qids, slot[qids % b, n]] = answers
     resp %= p
     answered = [all(transcript.responses[n] is not None for n in subset) for subset in symbols]
     present = np.flatnonzero(answered)
     by_symbol = resp.reshape(-1, b, k)[:, present].transpose(1, 2, 0)
-    solved = _mat_mul_reduced(plan.symbol_inverses[present], by_symbol, p)
-    table = np.zeros((len(plan.blocks), b, k), dtype=np.int64)
+    solved = _mat_mul_reduced(layout.symbol_inverses[present], by_symbol, p)
+    table = np.zeros((len(layout.blocks), b, k), dtype=np.int64)
     table[:, present] = solved.transpose(2, 0, 1)
     values: list[np.ndarray | None] = list(table.reshape(-1, k))
     for s in np.flatnonzero(np.logical_not(answered)):
-        values[s::b] = [None] * len(plan.blocks)
+        values[s::b] = [None] * len(layout.blocks)
     return values
 
 
@@ -115,19 +118,20 @@ def _group_interference(
     positions 0..beta*b-1, is decoded from them.  Groups mixing a single
     undesired file yield that file's atoms individually and are recorded.
     """
-    b = plan.n_symbols
+    layout = plan.layout
+    b, code = layout.array.n_symbols, layout.big_code
     knowns: list[dict[int, np.ndarray]] = []
-    for group in plan.groups:
+    for group in layout.groups:
         known: dict[int, np.ndarray] = {}
         for i, blk_id in enumerate(group.pure_blocks):
             for s in range(b):
                 if (v := values[blk_id * b + s]) is not None:
-                    known[plan.ab.beta * b + i * b + s] = v
+                    known[layout.ab.beta * b + i * b + s] = v
         knowns.append(known)
     interference: dict[int, np.ndarray] = {}
-    messages = _recover_batch(plan.big_code, knowns, correct)
-    for group, known, message in zip(plan.groups, knowns, messages):
-        full = rs.encode(plan.big_code, message)
+    messages = _recover_batch(code, knowns, correct)
+    for group, known, message in zip(layout.groups, knowns, messages):
+        full = rs.encode(code, message)
         for j, blk_id in enumerate(group.mixed_blocks):
             for s in range(b):
                 interference[blk_id * b + s] = full[j * b + s]
@@ -169,16 +173,16 @@ def _recover_batch(
 def _reconstruct_standard(
     plan: QueryPlan, values: list[np.ndarray | None], correct: bool, record: RecoveredAtoms | None
 ) -> dict[int, np.ndarray]:
-    p = plan.params.modulus
+    layout, p = plan.layout, plan.params.modulus
     des = plan.params.desired[0]
-    b = plan.n_symbols
+    b = layout.array.n_symbols
     interference = _group_interference(plan, values, correct, record)
 
-    rows_value = np.zeros((plan.l_rows, plan.params.code_dim), dtype=np.int64)
+    rows_value = np.zeros((layout.l_rows, plan.params.code_dim), dtype=np.int64)
     coded: list[tuple[Chunk, dict[int, np.ndarray]]] = []  # all on one code
     # One desired chunk per block the desired file labels, in block order.
-    desired_blocks = [blk for blk in plan.blocks if des in blk.atom_start]
-    for blk, chunk in zip(desired_blocks, plan.layout.chunks[des]):
+    desired_blocks = [blk for blk in layout.blocks if des in blk.atom_start]
+    for blk, chunk in zip(desired_blocks, layout.chunks[des]):
         vals: dict[int, np.ndarray] = {}
         for s in range(b):
             qid = blk.index * b + s
@@ -203,17 +207,15 @@ def _reconstruct_standard(
 def _reconstruct_multifile(
     plan: QueryPlan, values: list[np.ndarray | None], correct: bool, record: RecoveredAtoms | None
 ) -> dict[int, np.ndarray]:
-    p = plan.params.modulus
-    b = plan.n_symbols
-    ab = plan.ab
-    k = plan.params.code_dim
+    layout, p, k = plan.layout, plan.params.modulus, plan.params.code_dim
+    b, ab = layout.array.n_symbols, layout.ab
     desired = list(plan.params.desired)
     undesired = [f for f in range(plan.params.n_files) if f not in plan.params.desired]
     assert plan.mix_matrix is not None
 
-    atom_vals = {f: np.zeros((plan.l_rows, k), dtype=np.int64) for f in range(plan.params.n_files)}
+    atom_vals = {f: np.zeros((layout.l_rows, k), dtype=np.int64) for f in range(plan.params.n_files)}
     sigma: dict[tuple[int, int], int] = {}
-    for blk in plan.blocks:
+    for blk in layout.blocks:
         if blk.mix_row is not None:
             sigma[(blk.mix_round, blk.mix_row)] = blk.index
             continue
@@ -223,12 +225,12 @@ def _reconstruct_multifile(
             if record is not None:
                 record.add(f, start + s, values[blk.index * b + s], FLAG_DIRECT)
 
-    # Undesired files ride the big code: singleton positions determine the rest.
-    shared = ab.beta * b
-    for f in undesired:
-        (chunk,) = plan.layout.chunks[f]
-        known = {t: atom_vals[f][t] for t in range(shared, chunk.atoms[1])}
-        full = rs.encode(chunk.code, rs.recover_message(chunk.code, known, correct))
+    # Undesired files ride the big code: singleton positions determine the
+    # rest, at the same positions for every file, so all decode in one batch.
+    shared, code = ab.beta * b, layout.big_code
+    knowns = [{t: atom_vals[f][t] for t in range(shared, code.n)} for f in undesired]
+    for f, known, message in zip(undesired, knowns, _recover_batch(code, knowns, correct)):
+        full = rs.encode(code, message)
         atom_vals[f][:shared] = full[:shared]
         if record is not None:
             record.add_word(f, 0, full[:shared], known)
@@ -239,7 +241,7 @@ def _reconstruct_multifile(
     for lam in range(ab.beta):
         rhs = np.empty((len(desired), b, k), dtype=np.int64)
         for row in range(len(desired)):
-            blk = plan.blocks[sigma[(lam, row)]]
+            blk = layout.blocks[sigma[(lam, row)]]
             for s in range(b):
                 acc = values[blk.index * b + s].copy()
                 t = lam * b + s

@@ -191,16 +191,44 @@ def subsets_to_json(sets) -> str:
     return json.dumps([list(s) for s in sets])
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_ints(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _is_sets(value) -> bool:
+    """A nonempty list of integer lists: the JSON form of a pattern or family."""
+    return isinstance(value, list) and value != [] and all(map(_is_ints, value))
+
+
+def _parse_json(text: str, what: str, error: type[Exception], parse_float):
+    """``json.loads``; ``error`` refuses text that is not JSON, naming the line and column, or the nesting."""
+    try:
+        return json.loads(text, parse_float=parse_float)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is malformed: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise error(f"{what} nests arrays or objects too deeply to parse") from None
+
+
+def _sets_from_json(text: str, what: str) -> tuple[Subset, ...]:
+    sets = _parse_json(text, f"{what} JSON", PatternError, float)
+    if not _is_sets(sets):
+        raise PatternError(f"{what} JSON must be a nonempty list of integer lists")
+    return tuple(map(tuple, sets))
+
+
 def pattern_from_json(text: str) -> CollusionPattern:
     """Pattern from a JSON list of server-index lists."""
-    return CollusionPattern(tuple(tuple(s) for s in json.loads(text)))
+    return CollusionPattern(_sets_from_json(text, "pattern"))
 
 
 def family_from_json(text: str) -> BlockFamily:
     """Family from a JSON list of server-index lists (uniform size)."""
-    blocks = tuple(tuple(s) for s in json.loads(text))
-    if not blocks:
-        raise PatternError("family JSON holds no blocks")
+    blocks = _sets_from_json(text, "family")
     sizes = {len(b) for b in blocks}
     if len(sizes) != 1:
         raise PatternError(f"family blocks have mixed sizes {sorted(sizes)}")

@@ -1,12 +1,15 @@
 """Deterministic query-plan construction for the five retrieval variants.
 
 A plan has a layout and a seeded part.  The layout (``derive_layout``)
-is a pure function of the parameters: the pure/mixed block ratio (alpha,
-beta), the assisting array, the codes, and per file a tuple of chunks,
-each a range of mask rows under one MDS code (or none) that yields a
-range of atoms; per block the first atom of each labelled file; per
-group its pure and mixed blocks.  The seeded part is one invertible mask
-per file, plus the multifile mixing matrix; a plan holds nothing else.
+is the public scheme, a pure function of the parameters: the pure/mixed
+block ratio (alpha, beta), the assisting array, the codes, the storage
+code included, and per file a tuple of chunks, each a range of mask rows
+under one MDS code (or none) that yields a range of atoms; per block the
+first atom of each labelled file; per group its pure and mixed blocks;
+and, built on first use, each server's query ids and each symbol's
+storage inverses.  Every per-scheme value is read from ``plan.layout``.
+The seeded part is one invertible mask per file, plus the multifile
+mixing matrix; a plan holds nothing else.
 A file's atom coefficients stack, chunk after chunk, the chunk's
 generator times its mask rows.  Query ``block * b + s``, shared by the K
 servers of symbol s, sums atom ``atom_start[f] + s`` of each labelled
@@ -61,6 +64,7 @@ from .gf import (
     sample_invertible,
 )
 from .patterns import BlockFamily, CollusionPattern, PatternError, family_eval
+from .patterns import _is_int, _is_ints, _is_sets, _parse_json
 
 PLAN_STREAM = 1
 
@@ -294,10 +298,12 @@ class Group:
 
 @dataclass(frozen=True)
 class Layout:
-    """Everything about a plan that its parameters fix on their own.
+    """The public scheme: everything about a plan that its parameters fix on their own.
 
     ``chunks[f]`` tiles file f's atoms in order; the blocks say which
     atoms each query touches, the groups which blocks share a codeword.
+    What sessions and decodes derive from it, the servers' query ids and
+    the symbols' storage inverses, is cached here on first use.
     """
 
     ab: AlphaBeta
@@ -316,6 +322,12 @@ class Layout:
         firsts = np.arange(len(self.blocks))[:, None] * self.array.n_symbols
         return tuple((firsts + np.array(c, dtype=np.int64)).ravel() for c in self.array.columns)
 
+    @cached_property
+    def symbol_inverses(self) -> np.ndarray:
+        """Per symbol, the inverse of its K servers' storage code rows: their Lagrange basis."""
+        points = self.storage_code.eval_points[np.array(self.array.symbols)]
+        return rs._interp_setup(self.storage_code.p, points)[1]
+
 
 @dataclass(frozen=True)
 class Query:
@@ -330,42 +342,17 @@ class Query:
 
 @dataclass(frozen=True, eq=False)
 class QueryPlan:
+    """One retrieval's secret part, the masks and the mixing matrix, over its public layout."""
+
     params: SchemeParams
     layout: Layout
     masks: tuple[np.ndarray, ...]
     mix_matrix: np.ndarray | None
 
     @property
-    def ab(self) -> AlphaBeta:
-        return self.layout.ab
-
-    @property
     def l_rows(self) -> int:
+        """The side of the masks."""
         return self.layout.l_rows
-
-    @property
-    def array(self) -> AssistingArray:
-        return self.layout.array
-
-    @property
-    def blocks(self) -> tuple[Block, ...]:
-        return self.layout.blocks
-
-    @property
-    def groups(self) -> tuple[Group, ...]:
-        return self.layout.groups
-
-    @property
-    def big_code(self) -> rs.RsCode:
-        return self.layout.big_code
-
-    @property
-    def small_code(self) -> rs.RsCode | None:
-        return self.layout.small_code
-
-    @property
-    def n_symbols(self) -> int:
-        return self.array.n_symbols
 
     @cached_property
     def mask_factors(self) -> dict[int, Factored]:
@@ -383,11 +370,12 @@ class QueryPlan:
         Each file's atoms are derived for its slices of the vectors and
         dropped again; only the vectors are kept.
         """
-        p, m, l_rows, b = self.params.modulus, self.params.n_files, self.l_rows, self.n_symbols
-        vectors = np.zeros((len(self.blocks), b, m * l_rows), dtype=np.int64)
+        layout, p, m = self.layout, self.params.modulus, self.params.n_files
+        l_rows, b = layout.l_rows, layout.array.n_symbols
+        vectors = np.zeros((len(layout.blocks), b, m * l_rows), dtype=np.int64)
         for f in range(m):
-            atoms = _atom_matrix(self.layout.chunks[f], self.masks[f], p)
-            for blk in self.blocks:
+            atoms = _atom_matrix(layout.chunks[f], self.masks[f], p)
+            for blk in layout.blocks:
                 if f not in blk.atom_start:
                     continue
                 part = atoms[blk.atom_start[f] : blk.atom_start[f] + b]
@@ -396,8 +384,8 @@ class QueryPlan:
                 vectors[blk.index, :, f * l_rows : (f + 1) * l_rows] = part
         return tuple(
             Query(index=blk.index * b + s, block=blk.index, symbol=s, servers=subset, vector=vectors[blk.index, s])
-            for blk in self.blocks
-            for s, subset in enumerate(self.array.symbols)
+            for blk in layout.blocks
+            for s, subset in enumerate(layout.array.symbols)
         )
 
     @cached_property
@@ -405,12 +393,6 @@ class QueryPlan:
         """The mixing matrix on the desired columns, factored for decoding through it."""
         assert self.mix_matrix is not None
         return factor(self.mix_matrix[:, list(self.params.desired)], self.params.modulus)
-
-    @cached_property
-    def symbol_inverses(self) -> np.ndarray:
-        """Per symbol, the inverse of its K servers' storage code rows: their Lagrange basis."""
-        points = self.layout.storage_code.eval_points[np.array(self.array.symbols)]
-        return rs._interp_setup(self.params.modulus, points)[1]
 
     def maximal_collusion_sets(self) -> tuple[tuple[int, ...], ...]:
         if self.params.variant is Variant.PATTERN:
@@ -643,22 +625,10 @@ def params_to_dict(params: SchemeParams) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_ints(value) -> bool:
-    return isinstance(value, list) and all(map(_is_int, value))
-
-
-def _is_sets(value) -> bool:
-    return value is None or (isinstance(value, list) and value != [] and all(map(_is_ints, value)))
-
-
 _REQUIRED = object()
 _VARIANTS = [x.value for x in Variant]
 _INT = (_is_int, "an integer")
-_SETS = (_is_sets, "null or a nonempty list of integer lists")
+_SETS = (lambda v: v is None or _is_sets(v), "null or a nonempty list of integer lists")
 # The fields of a params object: their check, what it asks for, and the
 # value of an absent field.
 _PARAM_FIELDS = {
@@ -768,16 +738,6 @@ def plan_to_json(plan: QueryPlan) -> str:
         "mix_matrix": _compact(None if plan.mix_matrix is None else plan.mix_matrix.tolist()),
     }
     return _json_object(fields)
-
-
-def _parse_json(text: str, what: str, error: type[Exception], parse_float):
-    """``json.loads``; ``error`` refuses text that is not JSON, naming the line and column, or the nesting."""
-    try:
-        return json.loads(text, parse_float=parse_float)
-    except json.JSONDecodeError as exc:
-        raise error(f"{what} is malformed: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
-    except RecursionError:
-        raise error(f"{what} nests arrays or objects too deeply to parse") from None
 
 
 def _refuse_float(text: str):

@@ -113,7 +113,7 @@ def _view_counts(plan: QueryPlan) -> tuple[np.ndarray, list[tuple[np.ndarray, li
     The P mixed blocks of a multifile round share their atom starts; a
     shared atom counts once.
     """
-    layout, b = plan.layout, plan.n_symbols
+    layout, b = plan.layout, plan.layout.array.n_symbols
     incidence = np.array([[n in sym for sym in layout.array.symbols] for n in range(plan.params.n_servers)], np.int64)
     per_file = []
     for f, chunks in enumerate(layout.chunks):
@@ -139,7 +139,7 @@ def _view_ranks(plan: QueryPlan, views) -> list[PrivacyAudit]:
     visible = (member @ incidence > 0).astype(np.int64)
     ranks = np.stack([np.minimum(visible @ counts, ks).sum(axis=1) for counts, ks in per_file], axis=1)
     params = plan.params
-    per_symbol = plan.ab.total ** (1 if params.variant is Variant.MULTI_FILE else params.n_files - 1)
+    per_symbol = plan.layout.ab.total ** (1 if params.variant is Variant.MULTI_FILE else params.n_files - 1)
     expected = per_symbol * visible.sum(axis=1)
     passed = (ranks == expected[:, None]).all(axis=1)
     return [

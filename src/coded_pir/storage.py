@@ -1,11 +1,13 @@
 """Server-side storage encoding and retrieval sessions.
 
 Each of the M files is an L x K matrix; server n stores, file-major, the
-projection of every file row onto column n of the (N, K) storage code.
-A session answers every query at every server from one projection per
-file, then applies the configured adversary: robust servers stay silent,
-Byzantine servers corrupt every response.  Download accounting only
-counts responses that actually arrived.
+projection of every file row onto its row of the layout's (N, K) storage
+code, an ``rs.RsCode``.  ``encode_database`` returns all servers'
+contents as one (M*L, N) array, column n for server n.  A session
+answers every query at every server from one projection per file, then
+applies the configured adversary: robust servers stay silent, Byzantine
+servers corrupt every response.  Download accounting only counts
+responses that actually arrived.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from typing import Callable
 import numpy as np
 
 from . import rs
-from .gf import DEFAULT_MODULUS, FieldError, FieldRng, _mat_mul_reduced, _reduce, as_field
+from .gf import FieldError, FieldRng, _mat_mul_reduced, _reduce, as_field
 from .gf import check_modulus, derive_seed, mat_mul
-from .plans import Chunk, QueryPlan, _compact, _parse_json, _stored_matrix
+from .patterns import _parse_json
+from .plans import Chunk, QueryPlan, _compact, _stored_matrix
 
 DATABASE_STREAM = 2
 ADVERSARY_STREAM = 3
@@ -34,30 +37,6 @@ class ShapeMismatch(StorageError):
 
 
 @dataclass(frozen=True)
-class StorageCode:
-    """The (N, K) MDS code spreading every file row over the servers."""
-
-    gen: np.ndarray  # K x N
-    p: int
-
-    @property
-    def n_servers(self) -> int:
-        return self.gen.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.gen.shape[0]
-
-    def column(self, n: int) -> np.ndarray:
-        return self.gen[:, n]
-
-
-def rs_storage_code(n_servers: int, k: int, p: int = DEFAULT_MODULUS) -> StorageCode:
-    """Canonical storage code: the RS generator on points 1..N (needs N < p)."""
-    return StorageCode(gen=rs.rs_transposed_generator(n_servers, k, p).gen_t.T, p=p)
-
-
-@dataclass(frozen=True)
 class Database:
     """M files of identical L x K shape over a common field."""
 
@@ -65,6 +44,8 @@ class Database:
     p: int
 
     def __post_init__(self):
+        if not self.files:
+            raise ShapeMismatch("a database needs at least one file")
         shapes = {f.shape for f in self.files}
         if len(shapes) > 1:
             raise ShapeMismatch(f"files differ in shape: {sorted(shapes)}")
@@ -124,25 +105,14 @@ def database_from_json(text: str) -> Database:
     return Database(files=(first, *rest), p=p)
 
 
-@dataclass(frozen=True)
-class ServerState:
-    """One server's contents: the stacked files projected on its column."""
-
-    index: int
-    contents: np.ndarray  # length M * L
-
-
-def encode_database(db: Database, code: StorageCode) -> tuple[ServerState, ...]:
+def encode_database(db: Database, code: rs.RsCode) -> np.ndarray:
+    """The stored contents as one (M*L, N) array: column n, server n's, holds
+    every file row, file after file, times row n of ``code.gen_t``."""
     if code.k != db.k:
         raise ShapeMismatch(f"storage code dimension {code.k} != file width {db.k}")
     if code.p != db.p:
         raise ShapeMismatch(f"storage code modulus {code.p} != database modulus {db.p}")
-    stacked = np.vstack(db.files)
-    projected = mat_mul(stacked, code.gen, db.p)  # (M*L) x N
-    return tuple(
-        ServerState(index=n, contents=projected[:, n].copy())
-        for n in range(code.n_servers)
-    )
+    return mat_mul(np.vstack(db.files), code.gen_t.T, db.p)
 
 
 CorruptionFn = Callable[[FieldRng, int, np.ndarray], np.ndarray]
@@ -217,36 +187,34 @@ def run_session(plan: QueryPlan, db: Database, adversary: Adversary | None = Non
     operand.  A block's answers add ``c * proj[atom_start[f] :][:b]``
     over its files, c its mixing entry or 1, reduced after each addition.
     """
-    p, b = plan.params.modulus, plan.n_symbols
-    code = StorageCode(gen=plan.layout.storage_code.gen_t.T, p=p)
+    layout, p = plan.layout, plan.params.modulus
+    b, n_servers = layout.array.n_symbols, layout.storage_code.n
     if adversary is None:
         adversary = Adversary()
     if db.m != plan.params.n_files or db.l_rows != plan.l_rows or db.k != plan.params.code_dim:
         raise ShapeMismatch(
             f"database shape ({db.m}, {db.l_rows}, {db.k}) does not match the plan"
         )
-    if any(n < 0 or n >= code.n_servers for n in adversary.robust_set + adversary.byzantine_set):
+    if any(n < 0 or n >= n_servers for n in adversary.robust_set + adversary.byzantine_set):
         raise ShapeMismatch("adversary names servers outside the system")
-    if db.p != p:
-        raise ShapeMismatch(f"storage code modulus {p} != database modulus {db.p}")
 
-    encoded = mat_mul(np.vstack(db.files), code.gen, p)  # (M*L) x N: column n is server n's contents
-    table = np.zeros((len(plan.blocks), b, code.n_servers), dtype=np.int64)
+    encoded = encode_database(db, layout.storage_code)
+    table = np.zeros((len(layout.blocks), b, n_servers), dtype=np.int64)
     for f in range(plan.params.n_files):
-        proj = _atom_answers(plan.layout.chunks[f], plan.masks[f], encoded[f * db.l_rows : (f + 1) * db.l_rows], p)
-        blocks = [blk for blk in plan.blocks if f in blk.atom_start]
+        proj = _atom_answers(layout.chunks[f], plan.masks[f], encoded[f * db.l_rows : (f + 1) * db.l_rows], p)
+        blocks = [blk for blk in layout.blocks if f in blk.atom_start]
         ids = [blk.index for blk in blocks]
         rows = np.array([blk.atom_start[f] for blk in blocks])[:, None] + np.arange(b)
         scale = [1 if blk.mix_row is None else int(plan.mix_matrix[blk.mix_row, f]) for blk in blocks]
         table[ids] = _reduce(table[ids] + np.array(scale)[:, None, None] * proj[rows], p)
-    table = table.reshape(-1, code.n_servers)  # row block * b + s: query block * b + s
+    table = table.reshape(-1, n_servers)  # row block * b + s: query block * b + s
     responses: list[np.ndarray | None] = []
     downloaded = 0
-    for n in range(code.n_servers):
+    for n in range(n_servers):
         if n in adversary.robust_set:
             responses.append(None)
             continue
-        qids = plan.layout.server_queries[n]
+        qids = layout.server_queries[n]
         answers = table[qids, n]
         if n in adversary.byzantine_set:
             rng = FieldRng(derive_seed(derive_seed(adversary.seed, ADVERSARY_STREAM), n), p)

@@ -13,15 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from coded_pir import gf, plans, rs
-from coded_pir.storage import (
-    ADVERSARY_STREAM,
-    Adversary,
-    ServerState,
-    ShapeMismatch,
-    StorageCode,
-    Transcript,
-    encode_database,
-)
+from coded_pir.storage import ADVERSARY_STREAM, Adversary, ShapeMismatch, Transcript, encode_database
 
 
 class SingularSystem(Exception):
@@ -265,35 +257,41 @@ def gao_recover_message(code, known: Mapping[int, object]) -> np.ndarray:
 # --- storage and shared queries ---------------------------------------------------
 
 
-def is_mds(code: StorageCode) -> bool:
-    """Exhaustively check that every K columns are linearly independent."""
-    k = code.k
-    for cols in combinations(range(code.n_servers), k):
-        if gf.mat_rank(code.gen[:, cols], code.p) != k:
+def generator_code(gen_t, p: int) -> rs.RsCode:
+    """An ``RsCode`` around any n x k generator, for the storage encoder and the
+    shared-query solve, which read only its generator, n, k and p.  It has no
+    evaluation points, so no RS decoder may take it."""
+    gen_t = np.asarray(gen_t, dtype=np.int64)
+    n, k = gen_t.shape
+    return rs.RsCode(n=n, k=k, p=p, eval_points=np.zeros(0, dtype=np.int64), gen_t=gen_t)
+
+
+def is_mds(code: rs.RsCode) -> bool:
+    """Exhaustively check that every K rows of the generator are linearly independent."""
+    for rows in combinations(range(code.n), code.k):
+        if gf.mat_rank(code.gen_t[list(rows)], code.p) != code.k:
             return False
     return True
 
 
-def answer_query(query, server: ServerState, p: int) -> int:
-    """One server response: dot product of the query with its contents."""
+def answer_query(query, contents: np.ndarray, p: int) -> int:
+    """One server response: dot product of the query with its contents column."""
     query = gf.as_field(query, p)
-    if query.shape != server.contents.shape:
-        raise ShapeMismatch(
-            f"query length {query.shape} != server contents {server.contents.shape}"
-        )
-    return int(gf.mat_mul(query[None, :], server.contents[:, None], p)[0, 0])
+    if query.shape != contents.shape:
+        raise ShapeMismatch(f"query length {query.shape} != server contents {contents.shape}")
+    return int(gf.mat_mul(query[None, :], contents[:, None], p)[0, 0])
 
 
-def decode_shared_query(responses: Mapping[int, int], code: StorageCode) -> np.ndarray:
-    """The K-vector x with x . g_n = responses[n] for each server n."""
+def decode_shared_query(responses: Mapping[int, int], code: rs.RsCode) -> np.ndarray:
+    """The K-vector x with gen_t[n] . x = responses[n] for each server n."""
     servers = sorted(responses)
     if len(servers) != code.k:
         raise SingularSystem(f"need exactly {code.k} responses, got {len(servers)}")
     rhs = np.array([int(responses[n]) for n in servers], dtype=np.int64)
     try:
-        return gf.factor(code.gen[:, servers].T, code.p).solve(rhs)
+        return gf.factor(code.gen_t[servers], code.p).solve(rhs)
     except gf.NoSolution as exc:
-        raise SingularSystem(f"storage code is not MDS on columns {servers}") from exc
+        raise SingularSystem(f"storage code is not MDS on the rows of servers {servers}") from exc
 
 
 # --- privacy audit ------------------------------------------------------------------
@@ -316,15 +314,15 @@ def atom_coeffs(plan) -> tuple[np.ndarray, ...]:
 def visible_symbols(plan, servers) -> list[int]:
     """Symbols whose subsets intersect the given server set."""
     view = set(servers)
-    return [s for s, blk in enumerate(plan.array.symbols) if view & set(blk)]
+    return [s for s, blk in enumerate(plan.layout.array.symbols) if view & set(blk)]
 
 
 def expected_view_dim(plan, servers) -> int:
     """Predicted rank of any one file's atoms visible to these servers."""
     hits = len(visible_symbols(plan, servers))
     if plan.params.variant is plans.Variant.MULTI_FILE:
-        return plan.ab.total * hits
-    return plan.ab.total ** (plan.params.n_files - 1) * hits
+        return plan.layout.ab.total * hits
+    return plan.layout.ab.total ** (plan.params.n_files - 1) * hits
 
 
 def dense_view_ranks(plan, servers) -> tuple[int, ...]:
@@ -334,7 +332,7 @@ def dense_view_ranks(plan, servers) -> tuple[int, ...]:
     ranks = []
     for f in range(plan.params.n_files):
         atom_ids: set[int] = set()
-        for blk in plan.blocks:
+        for blk in plan.layout.blocks:
             if f in blk.label:
                 atom_ids.update(blk.atom_start[f] + s for s in visible)
         rows = coeffs[f][sorted(atom_ids)]
@@ -349,7 +347,7 @@ def counted_view_ranks(plan, servers) -> tuple[int, ...]:
     visible = np.array(visible_symbols(plan, servers), dtype=np.int64)
     ranks = []
     for f, chunks in enumerate(plan.layout.chunks):
-        starts = [blk.atom_start[f] for blk in plan.blocks if f in blk.atom_start]
+        starts = [blk.atom_start[f] for blk in plan.layout.blocks if f in blk.atom_start]
         seen = np.zeros(chunks[-1].atoms[1], dtype=np.int64)
         seen[(np.array(starts, dtype=np.int64)[:, None] + visible).ravel()] = 1
         per_chunk = np.add.reduceat(seen, [c.atoms[0] for c in chunks])
@@ -372,17 +370,16 @@ def dense_session(plan, db, adversary=None) -> Transcript:
     """``run_session`` through the dense query view: each server's queries,
     stacked as M*L vectors, dotted with its stored contents."""
     p = plan.params.modulus
-    code = StorageCode(gen=plan.layout.storage_code.gen_t.T, p=p)
     adversary = adversary or Adversary()
-    servers = encode_database(db, code)
+    contents = encode_database(db, plan.layout.storage_code)
     responses = []
     downloaded = 0
-    for n in range(code.n_servers):
+    for n in range(contents.shape[1]):
         if n in adversary.robust_set:
             responses.append(None)
             continue
         mine = [q.vector for q in plan.queries if n in q.servers]
-        answers = gf.mat_mul(np.stack(mine), servers[n].contents, p) if mine else np.zeros(0, dtype=np.int64)
+        answers = gf.mat_mul(np.stack(mine), contents[:, n], p) if mine else np.zeros(0, dtype=np.int64)
         if n in adversary.byzantine_set:
             rng = gf.FieldRng(gf.derive_seed(gf.derive_seed(adversary.seed, ADVERSARY_STREAM), n), p)
             answers = gf.as_field(adversary.corruption(rng, n, answers), p)

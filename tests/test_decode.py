@@ -35,30 +35,30 @@ def exact_roundtrip(params, adversary=None, db_seed=17):
 
 
 def test_decode_shared_query_systematic():
-    code = cp.StorageCode(gen=np.array([[1, 0], [0, 1]], dtype=np.int64), p=7)
+    code = oracles.generator_code([[1, 0], [0, 1]], 7)
     x = oracles.decode_shared_query({0: 4, 1: 6}, code)
     assert x.tolist() == [4, 6]
 
 
 def test_decode_shared_query_replication():
-    code = cp.StorageCode(gen=np.ones((1, 3), dtype=np.int64), p=7)
+    code = rs.rs_transposed_generator(3, 1, 7)  # every server stores the file row
     assert oracles.decode_shared_query({2: 5}, code).tolist() == [5]
 
 
 def test_decode_shared_query_forward_encode_oracle():
     p = 7
-    code = cp.rs_storage_code(5, 2, p)
+    code = rs.rs_transposed_generator(5, 2, p)
     rng = gf.FieldRng(4, p)
     for _ in range(25):
         x = rng.elements(2)
         servers = sorted(rng.permutation(5)[:2])
-        responses = {n: int(x @ code.gen[:, n] % p) for n in servers}
+        responses = {n: int(code.gen_t[n] @ x % p) for n in servers}
         got = oracles.decode_shared_query(responses, code)
         assert np.array_equal(got, x)
 
 
 def test_decode_shared_query_wrong_count():
-    code = cp.rs_storage_code(4, 2, 7)
+    code = rs.rs_transposed_generator(4, 2, 7)
     with pytest.raises(oracles.SingularSystem):
         oracles.decode_shared_query({0: 1}, code)
 
@@ -240,7 +240,7 @@ def test_pattern_with_unqueried_server():
     params = cp.SchemeParams(variant="pattern", n_servers=4, code_dim=2, n_files=2,
                              desired=(0,), pattern=pattern, family=family, seed=4)
     plan = cp.build_plan(params)
-    assert plan.array.columns[3] == ()
+    assert plan.layout.array.columns[3] == ()
     assert cp.validate_plan(plan) == []
     exact_roundtrip(params)
     audits = cp.full_privacy_sweep(plan)
@@ -315,6 +315,34 @@ def test_batched_chunks_name_the_failing_column_within_its_chunk():
         decode._recover_batch(code, chunks, correct=True)
 
 
+def test_multifile_undesired_files_decode_in_one_call(monkeypatch):
+    # Both undesired files ride the big code at the same known positions.
+    params = cp.SchemeParams(variant="multifile", n_servers=4, code_dim=2, n_files=4,
+                             desired=(0, 1), collusion_size=2, seed=7)
+    plan = cp.build_plan(params)
+    db = cp.database_for_plan(plan, seed=17)
+    tr = cp.run_session(plan, db)
+    calls = []
+    recover = rs.recover_message
+
+    def counted(code, known, correct=False):
+        calls.append(len(known))
+        return recover(code, known, correct)
+
+    monkeypatch.setattr(rs, "recover_message", counted)
+    out = cp.reconstruct(plan, tr)
+    assert all(np.array_equal(out[f], db.files[f]) for f in params.desired)
+    layout = plan.layout
+    shared = layout.ab.beta * layout.array.n_symbols
+    assert calls == [layout.big_code.n - shared]
+    flags = cp.recovered_atoms(plan, tr).flags
+    assert flags == {
+        f: {t: decode.FLAG_DIRECT if f in params.desired or t >= shared else decode.FLAG_ERASURE
+            for t in range(layout.l_rows)}
+        for f in range(params.n_files)
+    }
+
+
 # --- per-plan decoding state -------------------------------------------------------
 
 
@@ -343,19 +371,19 @@ def test_interpolation_bases_are_built_once_per_plan(monkeypatch):
             builds.clear()
             for _ in range(3):
                 assert np.array_equal(cp.reconstruct(plan, tr)[0], db.files[0])
-            symbols = (plan.n_symbols, params.code_dim)  # all symbols in one call
-            assert sorted(builds) == sorted([(plan.big_code.n,), (plan.small_code.n,), symbols])
+            layout = plan.layout
+            symbols = (layout.array.n_symbols, params.code_dim)  # all symbols in one call
+            assert sorted(builds) == sorted([(layout.big_code.n,), (layout.small_code.n,), symbols])
     assert adds == []
     cp.recovered_atoms(plan, tr)
     assert adds
 
     for plan in (cp.build_plan(robust_params()), cp.build_plan(pattern_params())):
-        p, k = plan.params.modulus, plan.params.code_dim
-        code = cp.rs_storage_code(plan.params.n_servers, k, p)
-        for subset, inverse in zip(plan.array.symbols, plan.symbol_inverses):
+        layout = plan.layout
+        for subset, inverse in zip(layout.array.symbols, layout.symbol_inverses):
             for i, n in enumerate(subset):
                 unit = {m: int(m == n) for m in subset}
-                assert np.array_equal(inverse[:, i], oracles.decode_shared_query(unit, code))
+                assert np.array_equal(inverse[:, i], oracles.decode_shared_query(unit, layout.storage_code))
 
 
 def _count_eliminations(monkeypatch) -> list[int]:

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from coded_pir import patterns
+from coded_pir import cli, patterns
 from conftest import PENTAGON_SETS, PENTAGON_TRIPLES
 
 
@@ -153,3 +153,22 @@ def test_json_roundtrip():
     with pytest.raises(patterns.PatternError):
         patterns.family_from_json("[[0,1],[0,1,2]]")
     assert patterns.subsets_to_json(pat.maximal_sets) == "[[0, 1], [1, 2]]"
+
+
+_NOT_SETS = "JSON must be a nonempty list of integer lists$"
+
+
+@pytest.mark.parametrize("text, message", [
+    *((text, _NOT_SETS) for text in ["[[0.9,1],[1,2]]", "true", '"23"', "5", "[]", "[[0,1],[true,2]]", "[[0,1],2]"]),
+    ("not json", "JSON is malformed: Expecting value at line 1 column 1$"),
+    ("[" * 100000, "JSON nests arrays or objects too deeply to parse$"),
+])
+def test_pattern_and_family_files_hold_integer_lists(text, message, tmp_path, capsys):
+    for what, load in (("pattern", patterns.pattern_from_json), ("family", patterns.family_from_json)):
+        with pytest.raises(patterns.PatternError, match=f"^{what} {message}"):
+            load(text)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = ["audit", "--variant", "pattern", "--n", "5", "--k", "3", "--m", "2", "--pattern", str(bad)]
+    assert cli.main(argv) == cli.CONFIG_ERROR == 2
+    assert capsys.readouterr().err.startswith("configuration error: pattern JSON")

@@ -81,43 +81,43 @@ def test_assisting_array_pentagon_three_rows_per_column():
 
 
 def test_prototype_plan_shape(proto_plan):
-    assert (proto_plan.ab.alpha, proto_plan.ab.beta) == (5, 1)
+    assert (proto_plan.layout.ab.alpha, proto_plan.layout.ab.beta) == (5, 1)
     assert proto_plan.l_rows == 216
-    assert len(proto_plan.blocks) == 91
-    sizes = Counter(len(b.label) for b in proto_plan.blocks)
+    assert len(proto_plan.layout.blocks) == 91
+    sizes = Counter(len(b.label) for b in proto_plan.layout.blocks)
     assert sizes == {1: 75, 2: 15, 3: 1}
     assert len(proto_plan.queries) == 91 * 6
 
 
 def test_prototype_block_total_formula(proto_plan):
-    ab = proto_plan.ab
+    ab = proto_plan.layout.ab
     m = proto_plan.params.n_files
     total = (ab.total**m - ab.alpha**m) // ab.beta
-    assert len(proto_plan.blocks) == total
+    assert len(proto_plan.layout.blocks) == total
 
 
 def test_robust_plan_shape(robust_plan):
-    assert (robust_plan.ab.alpha, robust_plan.ab.beta) == (9, 1)
+    assert (robust_plan.layout.ab.alpha, robust_plan.layout.ab.beta) == (9, 1)
     assert robust_plan.l_rows == 100
-    assert len(robust_plan.blocks) == 19
-    assert robust_plan.small_code.n == 15 and robust_plan.small_code.k == 10
-    assert robust_plan.big_code.n == 150 and robust_plan.big_code.k == 90
+    assert len(robust_plan.layout.blocks) == 19
+    assert robust_plan.layout.small_code.n == 15 and robust_plan.layout.small_code.k == 10
+    assert robust_plan.layout.big_code.n == 150 and robust_plan.layout.big_code.k == 90
 
 
 def test_byzantine_plan_shape(byz_plan):
-    assert (byz_plan.ab.alpha, byz_plan.ab.beta) == (13, 1)
+    assert (byz_plan.layout.ab.alpha, byz_plan.layout.ab.beta) == (13, 1)
     assert byz_plan.l_rows == 196
-    assert len(byz_plan.blocks) == 27
-    assert byz_plan.small_code.n == 28 and byz_plan.small_code.k == 14
-    assert byz_plan.big_code.n == 392 and byz_plan.big_code.k == 182
+    assert len(byz_plan.layout.blocks) == 27
+    assert byz_plan.layout.small_code.n == 28 and byz_plan.layout.small_code.k == 14
+    assert byz_plan.layout.big_code.n == 392 and byz_plan.layout.big_code.k == 182
 
 
 def test_multifile_plan_shape(multi_plan):
-    assert (multi_plan.ab.alpha, multi_plan.ab.beta) == (5, 1)
+    assert (multi_plan.layout.ab.alpha, multi_plan.layout.ab.beta) == (5, 1)
     assert multi_plan.l_rows == 36
-    assert len(multi_plan.blocks) == 17
-    singles = [b for b in multi_plan.blocks if b.mix_row is None]
-    mixed = [b for b in multi_plan.blocks if b.mix_row is not None]
+    assert len(multi_plan.layout.blocks) == 17
+    singles = [b for b in multi_plan.layout.blocks if b.mix_row is None]
+    mixed = [b for b in multi_plan.layout.blocks if b.mix_row is not None]
     assert len(singles) == 15 and len(mixed) == 2
     assert multi_plan.mix_matrix.shape == (2, 3)
     # first mixing row comes from the constant polynomial: all ones
@@ -125,9 +125,9 @@ def test_multifile_plan_shape(multi_plan):
 
 
 def test_pattern_plan_shape(pattern_plan):
-    assert (pattern_plan.ab.alpha, pattern_plan.ab.beta) == (4, 1)
+    assert (pattern_plan.layout.ab.alpha, pattern_plan.layout.ab.beta) == (4, 1)
     assert pattern_plan.l_rows == 25
-    assert len(pattern_plan.blocks) == 9
+    assert len(pattern_plan.layout.blocks) == 9
 
 
 @pytest.mark.parametrize(
@@ -283,7 +283,7 @@ def test_desired_atoms_cover_all_mask_rows(proto_plan, robust_plan):
     assert np.array_equal(atom_coeffs(proto_plan)[des], proto_plan.masks[des])
     # robust: one small-code chunk per desired block; their rows tile [0, L)
     chunks = robust_plan.layout.chunks[robust_plan.params.desired[0]]
-    assert all(c.code is robust_plan.small_code for c in chunks)
+    assert all(c.code is robust_plan.layout.small_code for c in chunks)
     rows = sorted(r for c in chunks for r in range(*c.rows))
     assert rows == list(range(robust_plan.l_rows))
 
@@ -294,7 +294,7 @@ def test_undesired_row_slices_disjoint(proto_plan):
             continue
         used = set()
         touched = 0
-        for g in proto_plan.groups:
+        for g in proto_plan.layout.groups:
             if f in g.chunks:
                 touched += 1
                 lo, hi = g.chunks[f].rows
@@ -302,8 +302,8 @@ def test_undesired_row_slices_disjoint(proto_plan):
                 assert not (used & span)
                 used |= span
         # a file is met once per group whose base label contains it
-        assert touched == proto_plan.ab.total ** (proto_plan.params.n_files - 2)
-        assert len(used) == touched * proto_plan.big_code.k
+        assert touched == proto_plan.layout.ab.total ** (proto_plan.params.n_files - 2)
+        assert len(used) == touched * proto_plan.layout.big_code.k
 
 
 @pytest.mark.parametrize("variant", sorted(SMALL_FEASIBLE))
@@ -332,7 +332,7 @@ def test_layout_chunks_tile_atoms_and_rows(variant):
 def test_query_vectors_live_in_label_slices(multi_plan):
     l_rows = multi_plan.l_rows
     for q in multi_plan.queries[:40]:
-        blk = multi_plan.blocks[q.block]
+        blk = multi_plan.layout.blocks[q.block]
         for f in range(multi_plan.params.n_files):
             segment = q.vector[f * l_rows : (f + 1) * l_rows]
             if f in blk.label:
@@ -380,16 +380,16 @@ def test_beta_greater_than_one_instances_build():
     proto = cp.SchemeParams(variant="prototype", n_servers=5, code_dim=1,
                             n_files=2, collusion_size=2, seed=1)
     plan = cp.build_plan(proto)
-    assert (plan.ab.alpha, plan.ab.beta) == (2, 3)
+    assert (plan.layout.ab.alpha, plan.layout.ab.beta) == (2, 3)
     assert plan.l_rows == 5 * 5
     assert cp.validate_plan(plan) == []
 
     multi = cp.SchemeParams(variant="multifile", n_servers=5, code_dim=1,
                             n_files=3, desired=(0, 1), collusion_size=2, seed=1)
     mplan = cp.build_plan(multi)
-    assert (mplan.ab.alpha, mplan.ab.beta) == (2, 3)
+    assert (mplan.layout.ab.alpha, mplan.layout.ab.beta) == (2, 3)
     assert mplan.l_rows == 25
-    assert len(mplan.blocks) == 3 * 2 + 2 * 3
+    assert len(mplan.layout.blocks) == 3 * 2 + 2 * 3
     assert cp.validate_plan(mplan) == []
 
 
@@ -398,7 +398,7 @@ def test_single_file_degenerate_plan():
                              n_files=1, collusion_size=2, seed=0)
     plan = cp.build_plan(params)
     assert plan.l_rows == 6
-    assert len(plan.blocks) == 1
+    assert len(plan.layout.blocks) == 1
     assert cp.validate_plan(plan) == []
 
 

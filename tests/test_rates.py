@@ -151,7 +151,7 @@ def test_desired_identity_invariance():
     # identical per-collusion-set rank vectors
     a = cp.build_plan(prototype_params(desired=(0,)))
     b = cp.build_plan(prototype_params(desired=(1,)))
-    assert sorted(len(x.label) for x in a.blocks) == sorted(len(x.label) for x in b.blocks)
+    assert sorted(len(x.label) for x in a.layout.blocks) == sorted(len(x.label) for x in b.layout.blocks)
     for t in a.maximal_collusion_sets():
         ra = cp.collusion_view_ranks(a, t)
         rb = cp.collusion_view_ranks(b, t)
@@ -237,9 +237,9 @@ def test_one_pass_matches_per_set_counts_on_drawn_plans(params):
 def test_multifile_shared_atoms_count_once(multi_plan):
     # The P mixed blocks of a round share their atom starts: an atom seen
     # through two of them is still one atom of the view.
-    plan, b = multi_plan, multi_plan.n_symbols
+    plan, b = multi_plan, multi_plan.layout.array.n_symbols
     for f, (counts, ks) in enumerate(rates._view_counts(plan)[1]):
-        starts = [blk.atom_start[f] for blk in plan.blocks if f in blk.atom_start]
+        starts = [blk.atom_start[f] for blk in plan.layout.blocks if f in blk.atom_start]
         assert len(set(starts)) < len(starts)
         assert counts.sum() == len(set(starts)) * b
     for servers in [(0,), (1, 2), (0, 1, 2), (0, 1, 2, 3)]:
@@ -330,7 +330,7 @@ def test_naive_comparison_strict_for_proper_subsets():
 def test_desired_identity_invariance_multifile():
     a = cp.build_plan(multifile_params(desired=(0, 1)))
     b = cp.build_plan(multifile_params(desired=(1, 2)))
-    assert sorted(x.label for x in a.blocks) == sorted(x.label for x in b.blocks)
+    assert sorted(x.label for x in a.layout.blocks) == sorted(x.label for x in b.layout.blocks)
     for t in a.maximal_collusion_sets():
         ra = cp.collusion_view_ranks(a, t)
         rb = cp.collusion_view_ranks(b, t)

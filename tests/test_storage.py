@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import coded_pir as cp
 import oracles
-from coded_pir import gf
+from coded_pir import gf, rs
 from conftest import FACTORIES, multifile_params
 from feasible import SMALL_FEASIBLE
 
@@ -17,45 +17,45 @@ from feasible import SMALL_FEASIBLE
 def project_by_hand(db, code):
     """Per-entry recomputation of every server's contents."""
     out = []
-    for n in range(code.n_servers):
-        col = [int(v) for v in code.gen[:, n]]
+    for n in range(code.n):
+        row = [int(v) for v in code.gen_t[n]]
         contents = []
         for f in db.files:
-            for row in f:
-                contents.append(sum(int(a) * c for a, c in zip(row, col)) % db.p)
+            for file_row in f:
+                contents.append(sum(int(a) * c for a, c in zip(file_row, row)) % db.p)
         out.append(contents)
     return out
 
 
 def test_encode_replication_code():
     db = cp.Database(files=(np.array([[3], [4]]), np.array([[1], [2]])), p=7)
-    code = cp.StorageCode(gen=np.ones((1, 3), dtype=np.int64), p=7)
-    servers = cp.encode_database(db, code)
-    for s in servers:
-        assert s.contents.tolist() == [3, 4, 1, 2]
+    contents = cp.encode_database(db, rs.rs_transposed_generator(3, 1, 7))
+    assert contents.shape == (4, 3)
+    for n in range(3):
+        assert contents[:, n].tolist() == [3, 4, 1, 2]
 
 
 def test_encode_systematic_code():
     db = cp.Database(files=(np.array([[5, 9]]),), p=11)
-    code = cp.StorageCode(gen=np.array([[1, 0], [0, 1]], dtype=np.int64), p=11)
-    servers = cp.encode_database(db, code)
-    assert servers[0].contents.tolist() == [5]
-    assert servers[1].contents.tolist() == [9]
+    contents = cp.encode_database(db, oracles.generator_code([[1, 0], [0, 1]], 11))
+    assert contents[:, 0].tolist() == [5]
+    assert contents[:, 1].tolist() == [9]
 
 
 def test_encode_matches_per_entry_oracle():
     db = cp.random_database(2, 2, 2, 7, seed=11)
-    code = cp.rs_storage_code(4, 2, 7)
-    servers = cp.encode_database(db, code)
+    code = rs.rs_transposed_generator(4, 2, 7)
+    contents = cp.encode_database(db, code)
     want = project_by_hand(db, code)
-    for s, w in zip(servers, want):
-        assert s.contents.tolist() == w
+    for n, w in enumerate(want):
+        assert contents[:, n].tolist() == w
 
 
 def test_rs_storage_code_is_mds():
     for n, k in [(4, 2), (6, 2), (8, 2), (5, 3)]:
-        assert oracles.is_mds(cp.rs_storage_code(n, k, 65537))
-    assert oracles.is_mds(cp.rs_storage_code(4, 2, 5))  # largest N for p = 5
+        assert oracles.is_mds(rs.rs_transposed_generator(n, k, 65537))
+    assert oracles.is_mds(rs.rs_transposed_generator(4, 2, 5))  # largest N for p = 5
+    assert not oracles.is_mds(oracles.generator_code([[1, 0], [1, 0], [0, 1]], 5))
 
 
 def test_rs_storage_code_needs_more_field_elements_than_servers():
@@ -63,42 +63,41 @@ def test_rs_storage_code_needs_more_field_elements_than_servers():
     # and N = 6 the points 1, 2, 3, 4, 0, 1
     for n in (5, 6):
         with pytest.raises(cp.InvalidShape):
-            cp.rs_storage_code(n, 2, 5)
+            rs.rs_transposed_generator(n, 2, 5)
 
 
 def test_answer_query_basics():
     db = cp.random_database(2, 3, 2, 13, seed=3)
-    code = cp.rs_storage_code(4, 2, 13)
-    server = cp.encode_database(db, code)[1]
+    contents = cp.encode_database(db, rs.rs_transposed_generator(4, 2, 13))[:, 1]
     zero = np.zeros(6, dtype=np.int64)
-    assert oracles.answer_query(zero, server, 13) == 0
+    assert oracles.answer_query(zero, contents, 13) == 0
     unit = zero.copy()
     unit[4] = 1
-    assert oracles.answer_query(unit, server, 13) == int(server.contents[4])
+    assert oracles.answer_query(unit, contents, 13) == int(contents[4])
 
 
 def test_answer_query_matrix_form_oracle():
     # response equals (sum_m q_m W[m]) . g_n computed independently
     p = 7
     db = cp.random_database(2, 2, 2, p, seed=5)
-    code = cp.rs_storage_code(3, 2, p)
-    servers = cp.encode_database(db, code)
+    code = rs.rs_transposed_generator(3, 2, p)
+    contents = cp.encode_database(db, code)
     rng = gf.FieldRng(8, p)
     q = rng.elements(4)
     combo = (q[:2] @ np.asarray(db.files[0]) + q[2:] @ np.asarray(db.files[1])) % p
-    for n, server in enumerate(servers):
-        want = int(combo @ code.gen[:, n] % p)
-        assert oracles.answer_query(q, server, p) == want
+    for n in range(code.n):
+        want = int(combo @ code.gen_t[n] % p)
+        assert oracles.answer_query(q, contents[:, n], p) == want
 
 
 def test_answer_query_linearity():
     p = 13
     db = cp.random_database(1, 4, 2, p, seed=9)
-    server = cp.encode_database(db, cp.rs_storage_code(3, 2, p))[0]
+    contents = cp.encode_database(db, rs.rs_transposed_generator(3, 2, p))[:, 0]
     rng = gf.FieldRng(10, p)
     q1, q2 = rng.elements(4), rng.elements(4)
-    lhs = oracles.answer_query((q1 + q2) % p, server, p)
-    rhs = (oracles.answer_query(q1, server, p) + oracles.answer_query(q2, server, p)) % p
+    lhs = oracles.answer_query((q1 + q2) % p, contents, p)
+    rhs = (oracles.answer_query(q1, contents, p) + oracles.answer_query(q2, contents, p)) % p
     assert lhs == rhs
 
 
@@ -220,8 +219,15 @@ def test_shape_mismatch_errors(proto_plan):
     other_field = cp.random_database(db.m, db.l_rows, db.k, 65521, seed=0)
     with pytest.raises(cp.ShapeMismatch, match=r"^storage code modulus 65537 != database modulus 65521$"):
         cp.run_session(proto_plan, other_field)
+    with pytest.raises(cp.ShapeMismatch, match=r"^storage code dimension 3 != file width 2$"):
+        cp.encode_database(db, rs.rs_transposed_generator(4, 3, 65537))
     with pytest.raises(cp.ShapeMismatch):
         cp.Database(files=(np.zeros((2, 2), dtype=np.int64), np.zeros((3, 2), dtype=np.int64)), p=7)
+
+
+def test_database_needs_a_file():
+    with pytest.raises(cp.ShapeMismatch, match=r"^a database needs at least one file$"):
+        cp.Database(files=(), p=65537)
 
 
 # --- the session against the dense query view ----------------------------------------

@@ -16,7 +16,7 @@ def test_robust_two_absent_servers_beta_two():
     params = cp.SchemeParams(variant="robust", n_servers=8, code_dim=2, n_files=2,
                              desired=(0,), collusion_size=2, s_robust=2, seed=8)
     plan = cp.build_plan(params)
-    assert (plan.ab.alpha, plan.ab.beta) == (13, 2)
+    assert (plan.layout.ab.alpha, plan.layout.ab.beta) == (13, 2)
     assert plan.l_rows == 225
     assert cp.validate_plan(plan) == []
 
@@ -43,7 +43,7 @@ def test_byzantine_two_liars():
     params = cp.SchemeParams(variant="byzantine", n_servers=12, code_dim=2, n_files=2,
                              desired=(0,), collusion_size=2, b_byzantine=2, seed=10)
     plan = cp.build_plan(params)
-    assert (plan.ab.alpha, plan.ab.beta) == (7, 1)
+    assert (plan.layout.ab.alpha, plan.layout.ab.beta) == (7, 1)
     assert plan.l_rows == 192
     assert cp.validate_plan(plan) == []
 
@@ -57,7 +57,7 @@ def test_byzantine_two_liars():
 
     # two liars touch at most 2 * (C(N,K) - C(N-B,K)) symbols per block;
     # the per-block code corrects exactly that many
-    assert plan.small_code.max_errors == 21
+    assert plan.layout.small_code.max_errors == 21
     record = cp.recovered_atoms(
         plan, cp.run_session(plan, db, adversary=cp.Adversary(byzantine_set=(0, 1), seed=3))
     )
@@ -70,7 +70,7 @@ def test_multifile_at_scope_boundary_2p_equals_m():
     params = cp.SchemeParams(variant="multifile", n_servers=4, code_dim=2, n_files=4,
                              desired=(0, 2), collusion_size=2, seed=12)
     plan = cp.build_plan(params)
-    assert len(plan.blocks) == 4 * 5 + 2
+    assert len(plan.layout.blocks) == 4 * 5 + 2
     assert cp.validate_plan(plan) == []
     db = cp.database_for_plan(plan, seed=13)
     out = cp.reconstruct(plan, cp.run_session(plan, db))
@@ -126,7 +126,7 @@ def test_zero_fault_budgets_degenerate_to_consistency_checks():
         params = cp.SchemeParams(n_servers=4, code_dim=2, n_files=2, desired=(0,),
                                  collusion_size=2, seed=20, **kwargs)
         plan = cp.build_plan(params)
-        assert plan.small_code.n == plan.small_code.k == 6
+        assert plan.layout.small_code.n == plan.layout.small_code.k == 6
         assert cp.validate_plan(plan) == []
         db = cp.database_for_plan(plan, seed=21)
         out = cp.reconstruct(plan, cp.run_session(plan, db))
